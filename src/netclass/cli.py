@@ -332,7 +332,7 @@ def _cmd_report(args) -> int:
     run_phase("diameter", diameter_phase)
     run_phase("curve", curve_phase)
 
-    body = {"phases": phases, "rng_seed": args.rng_seed}
+    body = {"phases": phases}
     if args.timings:
         body["timings_seconds"] = {k: round(v, 6) for k, v in timings.items()}
     _emit(_document(args.file, g, stats, body), args.out)
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical "
                         "reruns)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import Graph
+from .graph import Graph, row_pointers
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 
@@ -70,18 +70,12 @@ class OrientedGraph:
 def _orient_by_rank(g: Graph, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of out-neighbors when each edge points up the given ranks."""
     edges = g.edge_array()
-    if edges.size == 0:
-        return np.zeros(g.n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     u, v = edges[:, 0], edges[:, 1]
     forward = rank[u] < rank[v]
     heads = np.where(forward, u, v)
     tails = np.where(forward, v, u)
     order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails
+    return row_pointers(heads[order], g.n), tails[order]
 
 
 def degeneracy_ordering(g: Graph) -> OrientedGraph:
@@ -146,7 +140,7 @@ def enumerate_maximal_cliques_backtracking(
     through v; a clique is kept only at its minimum vertex, which
     deduplicates across the outer loop.
     """
-    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    adj = g.adjacency_sets()
     found: set[frozenset[int]] = set()
     visited: set[tuple[int, frozenset[int]]] = set()
 
@@ -196,7 +190,7 @@ def enumerate_maximal_cliques(g: Graph,
     recursion picks a pivot maximizing candidate coverage. Emission is
     polynomial-delay in practice and exact.
     """
-    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    adj = g.adjacency_sets()
     og = degeneracy_ordering(g)
     out: list[tuple[int, ...]] = []
 

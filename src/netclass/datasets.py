@@ -112,9 +112,3 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
                        verified=ok, n=g.n, m=g.m,
                        raw_edge_lines=stats.raw_lines, note=note)
 
-
-def load_dataset(name: str, cache_dir: Path | str | None = None,
-                 manifest: dict | None = None):
-    """Fetch (or reuse) a dataset and load it as a Graph with stats."""
-    res = fetch_dataset(name, cache_dir=cache_dir, manifest=manifest)
-    return load_edge_list(str(res.path), return_stats=True)

@@ -18,6 +18,14 @@ from scipy import sparse
 from .errors import ParseError
 
 UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
+_ID_MIN, _ID_MAX = -2**63, 2**63 - 1  # vertex ids must fit in int64
+
+
+def row_pointers(heads: np.ndarray, n: int) -> np.ndarray:
+    """int64 CSR row pointers for edges grouped by ascending head."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    return indptr
 
 
 class Graph:
@@ -75,10 +83,7 @@ class Graph:
         tails = np.concatenate([hi, lo])
         order = np.lexsort((tails, heads))
         heads, tails = heads[order], tails[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, tails.astype(np.int64), labels)
+        return cls(n, row_pointers(heads, n), tails.astype(np.int64), labels)
 
     # -- primitive queries -------------------------------------------
 
@@ -97,6 +102,11 @@ class Graph:
         nbrs = self.neighbors(u)
         i = np.searchsorted(nbrs, v)
         return bool(i < len(nbrs) and nbrs[i] == v)
+
+    def adjacency_sets(self) -> list[set[int]]:
+        """A fresh list of neighbor sets, one per vertex; callers may mutate it."""
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(self.n)]
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
@@ -147,11 +157,8 @@ class Graph:
         heads = np.repeat(np.arange(self.n), self.degrees)
         emask = keep[heads] & keep[self.indices]
         h, t = newid[heads[emask]], newid[self.indices[emask]]
-        indptr = np.zeros(S.size + 1, dtype=np.int64)
-        np.add.at(indptr, h + 1, 1)
-        np.cumsum(indptr, out=indptr)
         # heads were ascending and within-row targets sorted, so CSR order holds
-        return Graph(S.size, indptr, t, labels=self.labels[S])
+        return Graph(S.size, row_pointers(h, S.size), t, labels=self.labels[S])
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:
@@ -221,7 +228,7 @@ def load_edge_list(source: str | bytes | IO, symmetrize: bool = True,
     makes a self-loop line a ParseError instead of a silent drop.
     """
     if isinstance(source, bytes):
-        lines: Iterable = source.decode("utf-8").splitlines()
+        lines: Iterable = source.splitlines()
     elif isinstance(source, str):
         if "\n" in source:
             lines = source.splitlines()
@@ -237,7 +244,10 @@ def load_edge_list(source: str | bytes | IO, symmetrize: bool = True,
     vs: list[int] = []
     for line_no, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
-            line = line.decode("utf-8")
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("line is not valid UTF-8", line_no) from None
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -248,6 +258,8 @@ def load_edge_list(source: str | bytes | IO, symmetrize: bool = True,
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer vertex id in {line!r}", line_no) from None
+        if not (_ID_MIN <= u <= _ID_MAX and _ID_MIN <= v <= _ID_MAX):
+            raise ParseError(f"vertex id beyond int64 in {line!r}", line_no)
         stats.raw_lines += 1
         if u == v and not allow_self_loops:
             raise ParseError(f"self-loop at vertex {u}", line_no)

@@ -22,14 +22,10 @@ INF = math.inf
 
 @dataclass
 class MetricProfile:
-    """Distance-based summary; fields fill in as analyses run."""
+    """Per-vertex eccentricities and the diameter they give."""
 
     eccentricity: np.ndarray | None = None
     diameter: int | None = None
-    tau: dict[int, np.ndarray] = field(default_factory=dict)  # k -> per-source
-    level_averages: dict[int, float] = field(default_factory=dict)  # T(k)
-    two_sweep_estimate: int | None = None
-    bct_fit: "TailFit | None" = None
 
 
 @dataclass

@@ -45,10 +45,6 @@ class PlbFit:
         c = self.c_plb if c is None else c
         return [b.ratio / c for b in self.buckets]
 
-    @property
-    def binding_ratio(self) -> float:
-        return max(b.ratio for b in self.buckets)
-
 
 @dataclass
 class PlbCheck:

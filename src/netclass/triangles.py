@@ -102,29 +102,13 @@ class EdgeDeletion:
     triangles_destroyed: int
 
 
-def clean(g: Graph, epsilon: float,
-          seeds=None) -> tuple[Graph, list[EdgeDeletion]]:
-    """Delete edges of Jaccard similarity below epsilon until none remain.
-
-    Similarity is not monotone under deletion, so a FIFO worklist seeded
-    with every edge re-enqueues the edges incident to the endpoints of
-    each deletion. The returned log fixes the deletion order and records
-    how many triangles each deletion destroyed.
-
-    ``seeds`` restricts the initial worklist to the given edges; callers
-    must guarantee every other edge already satisfies the threshold
-    (the decomposition uses this after extractions, which only disturb
-    the neighborhoods bordering the removed cluster).
-    """
-    if not (0 < epsilon <= 1):
-        raise ValueError("epsilon must lie in (0, 1]")
-    adj: list[set[int]] = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+def _clean_sets(adj: list[set[int]], seeds,
+                epsilon: float) -> list[EdgeDeletion]:
+    """Run the cleaner's FIFO worklist over ``adj``, deleting edges in place."""
 
     def norm(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
-    if seeds is None:
-        seeds = map(tuple, g.edge_array().tolist())
     queue: deque[tuple[int, int]] = deque(norm(u, v) for u, v in seeds)
     queued = set(queue)
     log: list[EdgeDeletion] = []
@@ -147,10 +131,31 @@ def clean(g: Graph, epsilon: float,
                 if e not in queued:
                     queue.append(e)
                     queued.add(e)
+    return log
 
+
+def clean(g: Graph, epsilon: float,
+          seeds=None) -> tuple[Graph, list[EdgeDeletion]]:
+    """Delete edges of Jaccard similarity below epsilon until none remain.
+
+    Similarity is not monotone under deletion, so a FIFO worklist seeded
+    with every edge re-enqueues the edges incident to the endpoints of
+    each deletion. The returned log fixes the deletion order and records
+    how many triangles each deletion destroyed.
+
+    ``seeds`` restricts the initial worklist to the given edges, in the
+    given order; callers must guarantee every other edge already
+    satisfies the threshold. The decomposition runs the same worklist on
+    its own adjacency sets rather than through this function.
+    """
+    if not (0 < epsilon <= 1):
+        raise ValueError("epsilon must lie in (0, 1]")
+    adj = g.adjacency_sets()
+    if seeds is None:
+        seeds = g.edge_array().tolist()
+    log = _clean_sets(adj, seeds, epsilon)
     edges = [(u, w) for u in range(g.n) for w in adj[u] if u < w]
-    cleaned = Graph.from_edges(edges, n=g.n, labels=g.labels)
-    return cleaned, log
+    return Graph.from_edges(edges, n=g.n, labels=g.labels), log
 
 
 # -- extractor -------------------------------------------------------------
@@ -166,6 +171,26 @@ class ExtractorTrace:
     supplement: tuple[int, ...]     # chosen candidates (score desc, id asc)
 
 
+def _extract_sets(adj: list[set[int]]) -> tuple[list[int], ExtractorTrace]:
+    """Choose one cluster on the current neighbor sets (see ``extract``)."""
+    sizes = list(map(len, adj))
+    d_max = max(sizes)
+    seed = sizes.index(d_max)  # the smallest id on ties
+    hood = adj[seed]
+    base = hood | {seed}
+    candidates = set().union(*(adj[u] for u in hood)) - base
+    scores: dict[int, int] = {}
+    for w in sorted(candidates):
+        shared = adj[w] & hood
+        scores[w] = sum(len(adj[a] & shared) for a in shared) // 2
+    ranked = sorted((w for w in scores if scores[w] > 0),
+                    key=lambda w: (-scores[w], w))
+    supplement = tuple(ranked[:d_max])
+    trace = ExtractorTrace(seed=seed, d_max=d_max, scores=scores,
+                           supplement=supplement)
+    return sorted(base | set(supplement)), trace
+
+
 def extract(g: Graph) -> tuple[np.ndarray, ExtractorTrace, Graph]:
     """Carve one radius-2 cluster around a maximum-degree vertex.
 
@@ -177,31 +202,9 @@ def extract(g: Graph) -> tuple[np.ndarray, ExtractorTrace, Graph]:
     """
     if g.m == 0:
         raise ValueError("cannot extract a cluster from an edgeless graph")
-    degs = g.degrees
-    seed = int(np.argmax(degs))  # argmax takes the smallest index on ties
-    d_max = int(degs[seed])
-    hood = set(g.neighbors(seed).tolist())
-    base = hood | {seed}
-
-    candidates: set[int] = set()
-    for u in hood:
-        candidates.update(g.neighbors(u).tolist())
-    candidates -= base
-
-    adj = {u: set(g.neighbors(u).tolist()) for u in candidates | hood}
-    scores: dict[int, int] = {}
-    for w in sorted(candidates):
-        shared = adj[w] & hood
-        tri = sum(len(adj[a] & shared) for a in shared) // 2
-        scores[w] = tri
-    ranked = sorted((w for w in scores if scores[w] > 0),
-                    key=lambda w: (-scores[w], w))
-    supplement = tuple(ranked[:d_max])
-
-    cluster = np.array(sorted(base | set(supplement)), dtype=np.int64)
+    members, trace = _extract_sets(g.adjacency_sets())
+    cluster = np.array(members, dtype=np.int64)
     rest = np.setdiff1d(np.arange(g.n), cluster, assume_unique=True)
-    trace = ExtractorTrace(seed=seed, d_max=d_max, scores=scores,
-                           supplement=supplement)
     return cluster, trace, g.induced_subgraph(rest)
 
 
@@ -262,36 +265,6 @@ class TightlyKnitFamily:
                    if p.kind == "clean")
 
 
-def _triangles_touching(g: Graph, cluster: np.ndarray) -> tuple[int, int]:
-    """Triangles fully inside the cluster, and all triangles meeting it.
-
-    Inclusion-exclusion over per-vertex and per-internal-edge triangle
-    counts keeps the work local to the cluster's neighborhoods instead
-    of rescanning the whole graph.
-    """
-    inside = set(cluster.tolist())
-    flags = np.zeros(g.n, dtype=bool)
-    per_vertex = 0
-    for v in cluster.tolist():
-        nbrs = g.neighbors(v)
-        if nbrs.size < 2:
-            continue
-        flags[nbrs] = True
-        edges_among = sum(int(flags[g.neighbors(w)].sum()) for w in nbrs) // 2
-        flags[nbrs] = False
-        per_vertex += edges_among
-    per_edge = 0
-    for v in cluster.tolist():
-        for w in g.neighbors(v).tolist():
-            if w in inside and v < w:
-                per_edge += int(np.intersect1d(
-                    g.neighbors(v), g.neighbors(w), assume_unique=True).size)
-    t_inside = triangle_count_naive(g.induced_subgraph(cluster)).triangle_count
-    # a triangle with k cluster vertices is hit k, C(k,2) and C(k,3) times
-    t_touch = per_vertex - per_edge + t_inside
-    return t_inside, t_touch
-
-
 def _radius(g: Graph) -> int:
     """Smallest eccentricity; large sentinel when disconnected."""
     best = g.n + 1
@@ -338,41 +311,42 @@ def tightly_knit_decomposition(g: Graph,
     elif not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
 
-    # identity labels so cluster ids survive re-indexing across phases
-    work = Graph(g.n, g.indptr, g.indices, labels=np.arange(g.n))
+    adj = g.adjacency_sets()
+    edges_left = g.m
     clusters: list[tuple[int, ...]] = []
     phases: list[PhaseLog] = []
-    t_work = total
-    seeds = None  # first clean examines every edge
-    while work.m > 0:
-        cleaned, deletions = clean(work, epsilon, seeds=seeds)
-        destroyed = sum(d.triangles_destroyed for d in deletions)
+    seeds = g.edge_array().tolist()  # first clean examines every edge
+    while edges_left > 0:
+        deletions = _clean_sets(adj, seeds, epsilon)
+        edges_left -= len(deletions)
         phases.append(PhaseLog(
             kind="clean", epsilon=epsilon, edges_deleted=len(deletions),
-            triangles_destroyed=destroyed))
-        t_work -= destroyed
-        if cleaned.m == 0:
+            triangles_destroyed=sum(d.triangles_destroyed for d in deletions)))
+        if edges_left == 0:
             break
-        local, trace, remainder = extract(cleaned)
-        members = tuple(int(x) for x in cleaned.labels[local])
-        clusters.append(members)
-        t_inside, t_touch = _triangles_touching(cleaned, local)
+        members, _ = _extract_sets(adj)
+        inside = set(members)
+        saved = touched = 0
+        boundary: set[int] = set()
+        # remove the cluster vertex by vertex, counting each triangle that
+        # meets it once, at the first of its vertices to go
+        for c in members:
+            nbrs, adj[c] = adj[c], set()
+            for a in nbrs:
+                adj[a].discard(c)
+            touched += sum(len(adj[a] & nbrs) for a in nbrs) // 2
+            own = nbrs & inside
+            saved += sum(len(adj[a] & own) for a in own) // 2
+            edges_left -= len(nbrs)
+            boundary |= nbrs
+        clusters.append(tuple(members))
         phases.append(PhaseLog(
             kind="extract", cluster_size=len(members),
-            triangles_saved=t_inside,
-            triangles_cut=t_touch - t_inside))
-        t_work -= t_touch
-        # only neighborhoods bordering the cluster changed: reseed there
-        boundary = set()
-        for c in local.tolist():
-            boundary.update(cleaned.neighbors(c).tolist())
-        boundary.difference_update(local.tolist())
-        origin_to_rest = {int(lab): i for i, lab in enumerate(remainder.labels)}
-        seeds = []
-        for b in sorted(boundary):
-            rb = origin_to_rest[int(cleaned.labels[b])]
-            seeds.extend((rb, int(w)) for w in remainder.neighbors(rb))
-        work = remainder
+            triangles_saved=saved, triangles_cut=touched - saved))
+        # only neighborhoods bordering the cluster changed: reseed there,
+        # listing an edge between two boundary vertices once from each end
+        seeds = [(b, w) for b in sorted(boundary - inside)
+                 for w in sorted(adj[b])]
 
     certificates = [_certificate(g, np.array(c, dtype=np.int64))
                     for c in clusters]

@@ -140,7 +140,7 @@ class TestContracts:
     def test_byte_identical_reruns(self, capsys, k4_file):
         outputs = []
         for _ in range(2):
-            assert main(["report", k4_file, "--rng-seed", "3"]) == 0
+            assert main(["report", k4_file]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         for _ in range(2):
@@ -160,6 +160,16 @@ class TestContracts:
         f.write_text("0 1\nnope\n")
         assert main(["closure", str(f)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [b"0 1\n99999999999999999999999 3\n",
+                                         b"0 1\n\xff 3\n"])
+    def test_bad_id_or_bytes_exit_1_with_line(self, capsys, tmp_path, payload):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(payload)
+        assert main(["closure", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["closure", "/nonexistent/g.txt"]) == 1

@@ -46,6 +46,22 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="line 1"):
             load_edge_list("zero 1\n")
 
+    def test_id_beyond_int64_reports_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            load_edge_list("0 1\n99999999999999999999999 3\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_edge_list(f"0 {-2**63 - 1}\n")
+        g = load_edge_list(f"{2**63 - 1} {-2**63}\n")
+        assert g.labels.tolist() == [-2**63, 2**63 - 1]
+
+    def test_non_utf8_line_reports_line(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2"):
+            load_edge_list(b"0 1\n\xff 2\n")
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"# ok\n0 1\n1 \xfe\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_edge_list(str(f))
+
     def test_self_loop_rejected_when_disallowed(self):
         with pytest.raises(ParseError, match="self-loop"):
             load_edge_list("3 3\n", allow_self_loops=False)

@@ -8,11 +8,13 @@ from netclass.generators import (complete_graph, complete_multipartite,
                                  cycle_graph, disjoint_union, lollipop_graph,
                                  path_graph, random_tree, star_graph)
 from netclass.graph import Graph, jaccard_similarity, wedge_count
-from netclass.triangles import (clean, extract, tightly_knit_decomposition,
+from netclass.triangles import (ClusterCertificate, PhaseLog, clean, extract,
+                                tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
-from conftest import brute_triangles, random_graph_stream
+from conftest import (brute_all_pairs_dist, brute_triangles,
+                      brute_triangles_dense, brute_wedges, random_graph_stream)
 
 
 class TestCounting:
@@ -232,6 +234,91 @@ class TestDecomposition:
         full, _ = clean(g, 0.4)
         seeded, _ = clean(g, 0.4, seeds=map(tuple, g.edge_array().tolist()))
         assert full.edge_array().tolist() == seeded.edge_array().tolist()
+
+
+def reference_decomposition(g: Graph, epsilon: float):
+    """The decomposition as a chain of public calls: each phase rebuilds
+    the residual graph, carries original ids through identity labels and
+    reseeds the cleaner with the edges at the removed cluster's boundary.
+    Triangle and radius figures come from the brute-force oracles."""
+    work = Graph(g.n, g.indptr, g.indices, labels=np.arange(g.n))
+    clusters, phases = [], []
+    seeds = None
+    while work.m > 0:
+        cleaned, deletions = clean(work, epsilon, seeds=seeds)
+        phases.append(PhaseLog(
+            kind="clean", epsilon=epsilon, edges_deleted=len(deletions),
+            triangles_destroyed=sum(d.triangles_destroyed for d in deletions)))
+        if cleaned.m == 0:
+            break
+        local, _, rest = extract(cleaned)
+        clusters.append(tuple(cleaned.labels[local].tolist()))
+        saved = brute_triangles_dense(cleaned.induced_subgraph(local))
+        touched = brute_triangles_dense(cleaned) - brute_triangles_dense(rest)
+        phases.append(PhaseLog(kind="extract", cluster_size=len(local),
+                               triangles_saved=saved,
+                               triangles_cut=touched - saved))
+        inside = set(local.tolist())
+        boundary = {w for c in inside
+                    for w in cleaned.neighbors(c).tolist()} - inside
+        rest_index = {lab: i for i, lab in enumerate(rest.labels.tolist())}
+        seeds = []
+        for b in sorted(boundary):
+            rb = rest_index[int(cleaned.labels[b])]
+            seeds += [(rb, w) for w in rest.neighbors(rb).tolist()]
+        work = rest
+    certificates = []
+    for members in clusters:
+        sub = g.induced_subgraph(members)
+        dist = brute_all_pairs_dist(sub)
+        eccs = [row.max() for row in dist if row.min() >= 0]
+        size, tri = len(members), brute_triangles_dense(sub)
+        certificates.append(ClusterCertificate(
+            vertices=members, size=size, edge_count=sub.m,
+            triangle_count=tri, radius=min(eccs, default=size + 1),
+            rho_edge=sub.m / math.comb(size, 2) if size >= 2 else None,
+            rho_tri=tri / math.comb(size, 3) if size >= 3 else None))
+    return clusters, certificates, phases
+
+
+def overlapping_groups(n: int, groups: int, seed: int) -> Graph:
+    """Random groups of heavy-tailed size, member pairs joined w.p. 0.9."""
+    rng = np.random.default_rng(seed)
+    sizes = np.minimum((rng.pareto(1.6, size=groups) * 3).astype(int) + 3, 40)
+    edges = []
+    for size in sizes.tolist():
+        members = rng.choice(n, size=size, replace=False)
+        iu = np.triu_indices(size, k=1)
+        keep = rng.random(len(iu[0])) < 0.9
+        edges.append(np.column_stack([members[iu[0][keep]],
+                                      members[iu[1][keep]]]))
+    return Graph.from_edges(np.concatenate(edges), n=n)
+
+
+class TestDecompositionOracle:
+    @pytest.mark.parametrize("epsilon", [None, 0.1, 0.5])
+    def test_matches_rebuilding_reference(self, epsilon):
+        fixtures = [lollipop_graph(16, 8), complete_multipartite([3, 3, 3]),
+                    disjoint_union(complete_graph(4), complete_graph(5),
+                                   complete_graph(6)),
+                    # at automatic epsilon, the cleaner's deletions here
+                    # depend on a boundary edge being reseeded twice
+                    overlapping_groups(250, 100, seed=5)]
+        for g in itertools.chain(fixtures,
+                                 random_graph_stream(25, 30, seed=157)):
+            family = tightly_knit_decomposition(g, epsilon)
+            eps = epsilon
+            if eps is None:
+                t = brute_triangles_dense(g)
+                if t == 0:
+                    assert family.clusters == []
+                    continue
+                eps = 3.0 * t / brute_wedges(g) / 4.0
+            clusters, certificates, phases = reference_decomposition(g, eps)
+            assert family.epsilon == eps
+            assert family.clusters == clusters
+            assert family.certificates == certificates
+            assert family.phases == phases
 
 
 def radius_one_candidates(g: Graph) -> list[tuple[int, int]]:
