@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import NotConnectedError
-from .graph import Graph, bfs_levels, connected_components
+from .graph import Graph, bfs_levels, connected_components, row_pointers
 
 INF = math.inf
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -55,12 +55,35 @@ def _require_connected(g: Graph) -> None:
         raise NotConnectedError(k)
 
 
+def _first_level(sizes: np.ndarray, k: int) -> int | float:
+    """First level >= 1 with at least k vertices; infinity if none."""
+    hits = np.nonzero(sizes[1:] >= k)[0]
+    return int(hits[0]) + 1 if hits.size else INF
+
+
+def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
+           dst: np.ndarray = _NO_PAIRS):
+    """One BFS per source gives tau_s(k), ecc(s) and dist(src[i], dst[i]);
+    pairs are grouped by source to read each distance off its source's BFS.
+    """
+    taus = np.empty(g.n, dtype=np.float64)
+    eccs = np.empty(g.n, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    ptr = row_pointers(src[order], g.n)
+    pair_dist = np.empty(src.size, dtype=np.int64)
+    for s in range(g.n):
+        levels = bfs_levels(g, s)
+        taus[s] = _first_level(levels.level_sizes, k)
+        eccs[s] = levels.eccentricity
+        mine = order[ptr[s]:ptr[s + 1]]
+        pair_dist[mine] = levels.dist[dst[mine]]
+    return taus, eccs, pair_dist
+
+
 def eccentricities(g: Graph) -> MetricProfile:
     """Exact per-vertex eccentricities by one BFS per vertex."""
     _require_connected(g)
-    ecc = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        ecc[v] = bfs_levels(g, v).eccentricity
+    ecc = _sweep(g, 1)[1]
     return MetricProfile(eccentricity=ecc, diameter=int(ecc.max()))
 
 
@@ -90,25 +113,7 @@ def tau(g: Graph, s: int, k: int) -> int | float:
     g.check_vertex(s)
     if k < 1:
         raise ValueError("k must be at least 1")
-    sizes = bfs_levels(g, s).level_sizes
-    hits = np.nonzero(sizes[1:] >= k)[0]
-    return int(hits[0]) + 1 if hits.size else INF
-
-
-def _tau_from_sizes(sizes: np.ndarray, k: int) -> float:
-    hits = np.nonzero(sizes[1:] >= k)[0]
-    return float(hits[0] + 1) if hits.size else INF
-
-
-def level_sweep(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """tau_s(k) and ecc(s) for every source, from one BFS pass each."""
-    taus = np.empty(g.n, dtype=np.float64)
-    eccs = np.empty(g.n, dtype=np.int64)
-    for s in range(g.n):
-        levels = bfs_levels(g, s)
-        taus[s] = _tau_from_sizes(levels.level_sizes, k)
-        eccs[s] = levels.eccentricity
-    return taus, eccs
+    return _first_level(bfs_levels(g, s).level_sizes, k)
 
 
 @dataclass
@@ -154,70 +159,52 @@ def _fit_tail(tail: list[tuple[int, float]]) -> TailFit:
 
 
 def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
-                          rng_seed: int = 0,
-                          source_exponent: float = 0.5,
-                          target_exponent: float = 0.5) -> BctReport:
+                          rng_seed: int = 0) -> BctReport:
     """Measure the level-threshold properties on a connected graph.
 
-    k* is n**exponent rounded up (both exponents default to 1/2; the
-    generalized thresholds are exposed but carry no asserted guarantee).
-    Pair sampling uses the seeded generator recorded in the report.
+    k* is ceil(sqrt(n)). Pair sampling uses the seeded generator
+    recorded in the report; the pairs' distances come from the same
+    one-BFS-per-source sweep that gives tau and the eccentricities.
     """
     _require_connected(g)
     n = g.n
-    k_s = max(1, math.ceil(n ** source_exponent))
-    k_t = max(1, math.ceil(n ** target_exponent))
-    taus_s, eccs = level_sweep(g, k_s)
-    taus_t = taus_s if k_t == k_s else level_sweep(g, k_t)[0]
-
-    finite = np.isfinite(taus_s)
-    level_average = float(taus_s[finite].mean()) if finite.any() else INF
-
-    p1 = p2 = None
-    skipped = 0
-    sampled = 0
+    k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly
+    src = dst = _NO_PAIRS
     if sample_pairs > 0 and n >= 2:
         rng = np.random.default_rng(rng_seed)
         src = rng.integers(0, n, size=sample_pairs)
         dst = rng.integers(0, n - 1, size=sample_pairs)
         dst[dst >= src] += 1  # uniform over ordered pairs with s != t
-        ok1 = 0
-        ok2 = 0
-        usable = 0
-        for s in np.unique(src).tolist():
-            dists = bfs_levels(g, s).dist
-            for t in dst[src == s].tolist():
-                sampled += 1
-                ts, tt = taus_s[s], taus_t[t]
-                if not (math.isfinite(ts) and math.isfinite(tt)):
-                    skipped += 1
-                    continue
-                usable += 1
-                d = int(dists[t])
-                if d <= ts + tt:
-                    ok1 += 1
-                if d > ts + tt - 1:
-                    ok2 += 1
-        if usable:
-            p1 = ok1 / usable
-            p2 = ok2 / usable
+    taus, eccs, dist = _sweep(g, k_star, src, dst)
+
+    finite = np.isfinite(taus)
+    level_average = float(taus[finite].mean()) if finite.any() else INF
+
+    bound = taus[src] + taus[dst]
+    usable = np.isfinite(bound)
+    p1 = p2 = None
+    if usable.any():
+        d, b = dist[usable], bound[usable]
+        p1 = int(np.count_nonzero(d <= b)) / d.size
+        p2 = int(np.count_nonzero(d > b - 1)) / d.size
 
     tail: list[tuple[int, float]] = []
     if finite.any():
         gamma = 0
         while True:
-            frac = float((taus_s[finite] >= level_average + gamma).mean())
+            frac = float((taus[finite] >= level_average + gamma).mean())
             tail.append((gamma, frac))
-            if frac == 0.0 or gamma > int(np.nanmax(taus_s[finite])) + 2:
+            if frac == 0.0 or gamma > int(np.nanmax(taus[finite])) + 2:
                 break
             gamma += 1
 
-    return BctReport(n=n, k_star=k_s, level_average=level_average,
+    return BctReport(n=n, k_star=k_star, level_average=level_average,
                      infinite_tau_sources=int((~finite).sum()),
-                     sampled_pairs=sampled, skipped_pairs=skipped,
+                     sampled_pairs=int(src.size),
+                     skipped_pairs=int(src.size - usable.sum()),
                      property1_fraction=p1, property2_fraction=p2,
                      tail=tail, fit=_fit_tail(tail), rng_seed=rng_seed,
-                     taus=taus_s, eccs=eccs)
+                     taus=taus, eccs=eccs)
 
 
 @dataclass
@@ -240,25 +227,33 @@ class EccDecomposition:
     log_c_n: float
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks."""
+    # [1, 0] rather than [0, 1]: corrcoef's two off-diagonal entries can
+    # differ in the last bit, and this one is what scipy.stats reports
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
 def eccentricity_decomposition_report(
-        g: Graph, report: BctReport | None = None,
-        rng_seed: int = 0) -> EccDecomposition:
+        g: Graph, report: BctReport | None = None) -> EccDecomposition:
     """Spread of the eccentricity estimate's residuals across vertices."""
     if report is None:
-        report = bct_properties_report(g, sample_pairs=0, rng_seed=rng_seed)
+        report = bct_properties_report(g, sample_pairs=0)
     c = report.fit.c
-    if c is None:
+    if c is None and report.tail and report.tail[0] == (0, 1.0) and all(
+            frac == 0.0 for _, frac in report.tail[1:]):
         # a tail that drops from everything to nothing in one step (all
         # tau equal, e.g. complete graphs) decays instantly: the log
         # term vanishes instead of being unfittable
-        if report.tail and report.tail[0] == (0, 1.0) and all(
-                frac == 0.0 for _, frac in report.tail[1:]):
-            c = INF
-        else:
-            raise ValueError(
-                "tail fit is degenerate (no usable base c); the residual "
-                "decomposition is undefined for this graph")
-    elif c <= 1.0:
+        c = INF
+    elif c is None or c <= 1.0:
         raise ValueError(
             "tail fit is degenerate (no usable base c); the residual "
             "decomposition is undefined for this graph")
@@ -267,13 +262,8 @@ def eccentricity_decomposition_report(
     eccs = report.eccs[finite].astype(np.float64)
     log_c_n = 0.0 if c == INF else math.log(g.n) / math.log(c)
     residuals = eccs - taus - report.level_average - log_c_n
-    if taus.size and (np.all(taus == taus[0]) or np.all(eccs == eccs[0])):
-        rank = None
-        degenerate = True
-    else:
-        rho = scipy_stats.spearmanr(taus, eccs).statistic
-        rank = None if np.isnan(rho) else float(rho)
-        degenerate = rank is None
+    degenerate = bool(np.all(taus == taus[0]) or np.all(eccs == eccs[0]))
+    rank = None if degenerate else _spearman(taus, eccs)
     return EccDecomposition(
         residual_min=float(residuals.min()),
         residual_max=float(residuals.max()),

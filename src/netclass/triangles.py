@@ -266,13 +266,19 @@ class TightlyKnitFamily:
 
 
 def _radius(g: Graph) -> int:
-    """Smallest eccentricity; large sentinel when disconnected."""
+    """Smallest eccentricity, n + 1 when disconnected. Sources go by descending
+    degree until one meets the floor: 1 if a vertex sees all others, else 2.
+    """
+    deg = g.degrees
+    floor = 0 if g.n <= 1 else 1 if deg.max() == g.n - 1 else 2
     best = g.n + 1
-    for v in range(g.n):
+    for v in np.argsort(-deg, kind="stable").tolist():
         levels = bfs_levels(g, v)
         if levels.reached < g.n:
-            continue
+            return g.n + 1
         best = min(best, levels.eccentricity)
+        if best == floor:
+            break
     return best
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netclass
 from netclass.cli import main
 from netclass.generators import moon_moser
 
@@ -185,3 +190,15 @@ class TestContracts:
     def test_budget_error_exit_1(self, capsys, moonmoser12_file):
         assert main(["cliques", moonmoser12_file, "--budget", "5"]) == 1
         assert "budget" in capsys.readouterr().err
+
+    def test_start_up_skips_scipy_stats(self):
+        # scipy.stats costs most of the CLI's import time; the metric
+        # layer computes its one rank correlation with NumPy instead
+        src = str(Path(netclass.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import netclass.cli, sys; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, random_connected_graph,
                                  random_graph, random_tree, star_graph)
 from netclass.graph import Graph, largest_component
-from netclass.metric import (bct_properties_report,
+import netclass.metric as metric_mod
+from netclass.metric import (_spearman, bct_properties_report,
                              eccentricity_decomposition_report,
                              eccentricities, tau, two_sweep)
 
@@ -158,6 +161,113 @@ class TestBctReport:
         fracs = [f for _, f in rep.tail]
         assert fracs == sorted(fracs, reverse=True)
         assert fracs[0] > 0
+
+
+def oracle_bct(g: Graph, sample_pairs: int, rng_seed: int) -> dict:
+    """BCT report fields from all-pairs distances and the seeded sampler."""
+    n = g.n
+    dist = brute_all_pairs_dist(g)
+    k = math.ceil(math.sqrt(n))
+    taus = []
+    for s in range(n):
+        sizes = np.bincount(dist[s])
+        level = next((lvl for lvl in range(1, sizes.size) if sizes[lvl] >= k),
+                     math.inf)
+        taus.append(float(level))
+    taus = np.array(taus)
+    finite = [t for t in taus if math.isfinite(t)]
+    rng = np.random.default_rng(rng_seed)
+    src = rng.integers(0, n, size=sample_pairs)
+    dst = rng.integers(0, n - 1, size=sample_pairs)
+    dst[dst >= src] += 1
+    ok1 = ok2 = usable = 0
+    for s, t in zip(src.tolist(), dst.tolist()):
+        bound = taus[s] + taus[t]
+        if math.isfinite(bound):
+            usable += 1
+            ok1 += int(dist[s, t] <= bound)
+            ok2 += int(dist[s, t] > bound - 1)
+    return {"k_star": k, "taus": taus.tolist(),
+            "eccs": dist.max(axis=1).tolist(),
+            "level_average": (float(np.mean(finite)) if finite else math.inf),
+            "sampled_pairs": sample_pairs,
+            "skipped_pairs": sample_pairs - usable,
+            "property1_fraction": ok1 / usable if usable else None,
+            "property2_fraction": ok2 / usable if usable else None}
+
+
+class TestOneSweep:
+    def test_bct_report_matches_oracle(self):
+        checked = 0
+        for g in random_graph_stream(30, 40, seed=191):
+            g = largest_component(g)
+            if g.n < 2:
+                continue
+            for rng_seed, pairs in ((0, 1), (1, 37), (2, 500)):
+                rep = bct_properties_report(g, sample_pairs=pairs,
+                                            rng_seed=rng_seed)
+                got = {key: getattr(rep, key) for key in (
+                    "k_star", "level_average", "sampled_pairs",
+                    "skipped_pairs", "property1_fraction",
+                    "property2_fraction")}
+                got["taus"] = rep.taus.tolist()
+                got["eccs"] = rep.eccs.tolist()
+                assert got == oracle_bct(g, pairs, rng_seed)
+                checked += 1
+        assert checked >= 60
+
+    def test_one_bfs_per_source(self, monkeypatch):
+        calls = []
+        real = metric_mod.bfs_levels
+
+        def counted(g, s):
+            calls.append(s)
+            return real(g, s)
+
+        monkeypatch.setattr(metric_mod, "bfs_levels", counted)
+        for g in random_graph_stream(10, 40, seed=193):
+            g = largest_component(g)
+            calls.clear()
+            bct_properties_report(g, sample_pairs=5 * g.n + 10)
+            assert sorted(calls) == list(range(g.n))
+            calls.clear()
+            eccentricities(g)
+            assert sorted(calls) == list(range(g.n))
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_scipy(self, ties):
+        from scipy import stats
+        rng = np.random.default_rng(197)
+        for _ in range(40):
+            size = int(rng.integers(3, 300))
+            if ties:
+                x = rng.integers(0, 5, size).astype(np.float64)
+                y = rng.integers(0, 8, size).astype(np.float64)
+            else:
+                x, y = rng.permutation(size) * 0.5, rng.random(size)
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            want = stats.spearmanr(x, y).statistic
+            assert _spearman(x, y) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_constant_input_is_degenerate(self):
+        from scipy import stats
+        g = largest_component(random_graph(300, 4 / 300, seed=21))
+        rep = bct_properties_report(g, sample_pairs=0)
+        assert not eccentricity_decomposition_report(g, rep).degenerate
+        # the same report with every tau, or every eccentricity, equal:
+        # Spearman is undefined there, as scipy.stats also says
+        for flat in (dataclasses.replace(rep, taus=np.full(g.n, 2.0)),
+                     dataclasses.replace(rep, eccs=np.full(g.n, 5))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rho = stats.spearmanr(flat.taus, flat.eccs).statistic
+            assert math.isnan(rho)
+            dec = eccentricity_decomposition_report(g, flat)
+            assert dec.degenerate
+            assert dec.rank_correlation is None
 
 
 class TestEccDecomposition:

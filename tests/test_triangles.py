@@ -7,9 +7,9 @@ import pytest
 from netclass.generators import (complete_graph, complete_multipartite,
                                  cycle_graph, disjoint_union, lollipop_graph,
                                  path_graph, random_tree, star_graph)
-from netclass.graph import Graph, jaccard_similarity, wedge_count
-from netclass.triangles import (ClusterCertificate, PhaseLog, clean, extract,
-                                tightly_knit_decomposition,
+from netclass.graph import Graph, bfs_levels, jaccard_similarity, wedge_count
+from netclass.triangles import (ClusterCertificate, PhaseLog, _radius, clean,
+                                extract, tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
@@ -364,3 +364,45 @@ class TestRadiusOneCounterexample:
         cap4 = best_disjoint_capture(12, radius_one_candidates(g4))
         assert cap4 == 16         # fraction 1/4 of 64
         assert 16 / 64 < 9 / 27 < 1.0
+
+
+class TestRadius:
+    @staticmethod
+    def brute_radius(g: Graph) -> int:
+        dist = brute_all_pairs_dist(g)
+        if (dist < 0).any():
+            return g.n + 1
+        return int(dist.max(axis=1).min()) if g.n else g.n + 1
+
+    def test_matches_brute_min_eccentricity(self):
+        graphs = list(random_graph_stream(60, 25, seed=181))
+        graphs += [Graph.from_edges(np.zeros((0, 2), dtype=np.int64), n=n)
+                   for n in (0, 1, 2)]
+        graphs += [path_graph(2), star_graph(6), cycle_graph(7),
+                   disjoint_union(complete_graph(3), complete_graph(3))]
+        assert any(self.brute_radius(g) == g.n + 1 for g in graphs if g.n > 1)
+        for g in graphs:
+            assert _radius(g) == self.brute_radius(g), g.n
+
+    def test_stops_at_the_lower_bound(self, monkeypatch):
+        import netclass.triangles as tri_mod
+        calls = []
+
+        def counted(g, s):
+            calls.append(s)
+            return bfs_levels(g, s)
+
+        monkeypatch.setattr(tri_mod, "bfs_levels", counted)
+        # the hub has the top degree: one BFS proves radius 1
+        assert _radius(star_graph(9)) == 1
+        assert calls == [0]
+        # no vertex sees all others; the first source reaching all in
+        # two steps ends the scan
+        calls.clear()
+        assert _radius(complete_multipartite([2, 2, 2])) == 2
+        assert len(calls) == 1
+        # a disconnected graph stops at its first source
+        calls.clear()
+        g = disjoint_union(complete_graph(4), path_graph(5))
+        assert _radius(g) == g.n + 1
+        assert len(calls) == 1
