@@ -5,6 +5,11 @@ neighbors is impossible, i.e. adjacency is forced at c shared neighbors.
 The weak variant asks every induced subgraph for one vertex whose
 non-neighbors all share fewer than c neighbors with it; equivalently the
 graph admits a c-good elimination ordering.
+
+Both numbers read the non-adjacent rows of ``graph.pair_table``. The
+weak-closure greedy gives each vertex a CSR slice of its pairs and keeps
+one maximum per vertex, recomputed over that slice only when a pair
+holding it is retired or loses a common neighbor.
 """
 
 from __future__ import annotations
@@ -13,9 +18,8 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .graph import Graph
+from .graph import Graph, pair_table, row_pointers
 
 
 @dataclass
@@ -33,32 +37,14 @@ class ClosureProfile:
     per_vertex_requirement: tuple[int, ...]
 
 
-def _nonadjacent_pair_counts(g: Graph) -> sparse.csr_matrix:
-    """Common-neighbor counts for distinct non-adjacent pairs.
-
-    Sparse wedge aggregation (A @ A), so only pairs with at least one
-    common neighbor are materialized; adjacent pairs and the diagonal
-    are masked out.
-    """
-    if g.n == 0 or g.m == 0:
-        return sparse.csr_matrix((g.n, g.n), dtype=np.int32)
-    a = g.to_scipy()
-    p = (a @ a).tocsr()
-    rows = np.repeat(np.arange(g.n), np.diff(p.indptr))
-    p.data[rows == p.indices] = 0
-    p = (p - p.multiply(a)).tocsr()
-    p.eliminate_zeros()
-    return p
-
-
 def c_closure_number(g: Graph) -> int:
     """Smallest c such that g is c-closed.
 
     Equals 1 + max common-neighbor count over non-adjacent pairs, and 1
     when no non-adjacent pair has a common neighbor.
     """
-    p = _nonadjacent_pair_counts(g)
-    return int(p.data.max()) + 1 if p.nnz else 1
+    _, _, count, adjacent = pair_table(g)
+    return int(count[~adjacent].max(initial=0)) + 1
 
 
 def is_c_good(g: Graph, v: int, c: int) -> bool:
@@ -83,38 +69,35 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
     along the run. The greedy minimax is exact because requirements are
     monotone non-increasing under vertex deletion, mirroring the
     min-degree argument for degeneracy.
+
+    The non-adjacent rows of ``pair_table`` are the only pair state.
+    Each vertex owns a CSR slice of its pair slots, so removing v
+    retires its pairs by reading that slice, and each surviving pair of
+    v's neighbors loses one common neighbor. A survivor's maximum is
+    recomputed over its slice only when a retired or decremented pair
+    held it; a lazy heap keyed by (requirement, vertex) picks the next
+    removal.
     """
     n = g.n
     if n == 0:
         return ClosureProfile(1, 1, (), ())
 
-    p = _nonadjacent_pair_counts(g)
-    c_closure = int(p.data.max()) + 1 if p.nnz else 1
+    u, w, counts, adjacent = pair_table(g)
+    u, w, counts = u[~adjacent], w[~adjacent], counts[~adjacent]
+    c_closure = int(counts.max(initial=0)) + 1
+    keys = u * n + w  # sorted, as the table is
 
-    up = sparse.triu(p, k=1).tocoo()
-    rows = up.row.astype(np.int64)
-    cols = up.col.astype(np.int64)
-    keys = rows * n + cols
-    counts = up.data.astype(np.int64)
-    if keys.size and np.any(np.diff(keys) <= 0):
-        order = np.argsort(keys)
-        keys, counts = keys[order], counts[order]
-        rows, cols = rows[order], cols[order]
-
-    max_count = int(counts.max()) if counts.size else 0
-    # hist[v, c] = number of surviving non-adjacent partners of v whose
-    # current common-neighbor count is exactly c (c >= 1)
-    hist = np.zeros((n, max_count + 2), dtype=np.int64)
-    if counts.size:
-        np.add.at(hist, (rows, counts), 1)
-        np.add.at(hist, (cols, counts), 1)
+    # slots[ptr[v]:ptr[v + 1]] are the pairs with endpoint v; the other
+    # endpoint of pair s is u[s] + w[s] - v
+    heads = np.concatenate([u, w])
+    ptr = row_pointers(heads, n)
+    slots = np.argsort(heads)
+    slots %= max(counts.size, 1)
+    del heads
 
     current_max = np.zeros(n, dtype=np.int64)
-    if p.nnz:
-        current_max = np.asarray(p.max(axis=1).todense()).ravel().astype(np.int64)
-
-    partner_indptr = p.indptr.copy()
-    partner_indices = p.indices.astype(np.int64)
+    np.maximum.at(current_max, u, counts)
+    np.maximum.at(current_max, w, counts)
 
     alive = np.ones(n, dtype=bool)
     heap: list[tuple[int, int]] = [(int(current_max[v]) + 1, v)
@@ -123,21 +106,6 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
 
     order_out: list[int] = []
     reqs_out: list[int] = []
-
-    def refresh(cands: np.ndarray) -> None:
-        """Walk the maxima of candidate vertices down emptied histogram levels."""
-        cands = np.unique(cands)
-        cands = cands[alive[cands]]
-        cands = cands[current_max[cands] > 0]
-        if cands.size == 0:
-            return
-        stale = cands[hist[cands, current_max[cands]] == 0]
-        for u in stale.tolist():
-            mu = int(current_max[u])
-            while mu > 0 and hist[u, mu] == 0:
-                mu -= 1
-            current_max[u] = mu
-            heapq.heappush(heap, (mu + 1, u))
 
     for _ in range(n):
         while True:
@@ -148,52 +116,34 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
         order_out.append(v)
         reqs_out.append(req)
 
-        touched = []
+        # retire v's pairs (a retired pair's count is 0)
+        mine = slots[ptr[v]:ptr[v + 1]]
+        held = u[mine] + w[mine] - v
+        held = held[counts[mine] == current_max[held]]
+        counts[mine] = 0
 
-        # retire all pairs (v, u): their counts leave u's histogram
-        partners = partner_indices[partner_indptr[v]:partner_indptr[v + 1]]
-        partners = partners[alive[partners]]
-        if partners.size:
-            qk = np.minimum(partners, v) * n + np.maximum(partners, v)
-            pos = np.searchsorted(keys, qk)
-            cnt = counts[pos]
-            live = cnt > 0
-            if np.any(live):
-                u_live = partners[live]
-                np.add.at(hist, (u_live, cnt[live]), -1)
-                counts[pos[live]] = 0
-                touched.append(u_live)
-
-        # each surviving neighbor pair of v loses one common neighbor
+        # each surviving non-adjacent pair of v's neighbors loses one
         nbrs = g.neighbors(v)
         nbrs = nbrs[alive[nbrs]]
-        if nbrs.size >= 2:
-            ii, jj = np.triu_indices(nbrs.size, k=1)
-            aa, bb = nbrs[ii], nbrs[jj]
-            qk = aa * n + bb
-            pos = np.searchsorted(keys, qk, side="left")
-            pos_ok = pos < keys.size
-            hit = np.zeros(qk.size, dtype=bool)
-            hit[pos_ok] = keys[pos[pos_ok]] == qk[pos_ok]
-            aa, bb, pos = aa[hit], bb[hit], pos[hit]
-            old = counts[pos]
-            live = old > 0
-            aa, bb, pos, old = aa[live], bb[live], pos[live], old[live]
-            if old.size:
-                counts[pos] = old - 1
-                np.add.at(hist, (aa, old), -1)
-                np.add.at(hist, (bb, old), -1)
-                survives = old > 1
-                if np.any(survives):
-                    np.add.at(hist, (aa[survives], old[survives] - 1), 1)
-                    np.add.at(hist, (bb[survives], old[survives] - 1), 1)
-                touched.append(aa)
-                touched.append(bb)
+        ii, jj = np.triu_indices(nbrs.size, k=1)
+        aa, bb = nbrs[ii], nbrs[jj]
+        qk = aa * n + bb
+        pos = np.searchsorted(keys, qk)
+        hit = pos < keys.size
+        hit[hit] = keys[pos[hit]] == qk[hit]
+        aa, bb, pos = aa[hit], bb[hit], pos[hit]
+        old = counts[pos]
+        counts[pos] = np.maximum(old - 1, 0)
 
-        if touched:
-            refresh(np.concatenate(touched))
+        stale = np.unique(np.concatenate(
+            [held, aa[old == current_max[aa]], bb[old == current_max[bb]]]))
+        # a vertex whose maximum a changed pair held looks over its slice
+        for x in stale[alive[stale] & (current_max[stale] > 0)].tolist():
+            mx = int(counts[slots[ptr[x]:ptr[x + 1]]].max())
+            if mx < current_max[x]:
+                current_max[x] = mx
+                heapq.heappush(heap, (mx + 1, x))
 
-    weak = max(reqs_out)
-    return ClosureProfile(c_closure=c_closure, weak_closure=weak,
+    return ClosureProfile(c_closure=c_closure, weak_closure=max(reqs_out),
                           elimination_order=tuple(order_out),
                           per_vertex_requirement=tuple(reqs_out))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParseError
 
@@ -36,7 +35,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "labels", "_label_index",
-                 "_csr", "_fingerprint")
+                 "_fingerprint")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  labels: np.ndarray | None = None):
@@ -48,7 +47,6 @@ class Graph:
             labels = np.arange(n, dtype=np.int64)
         self.labels = labels
         self._label_index: dict[int, int] | None = None
-        self._csr: sparse.csr_matrix | None = None
         self._fingerprint: str | None = None
 
     # -- construction ------------------------------------------------
@@ -130,15 +128,6 @@ class Graph:
 
     # -- derived views -------------------------------------------------
 
-    def to_scipy(self, dtype=np.int32) -> sparse.csr_matrix:
-        """Adjacency as a scipy CSR matrix (cached)."""
-        if self._csr is None or self._csr.dtype != dtype:
-            data = np.ones(len(self.indices), dtype=dtype)
-            self._csr = sparse.csr_matrix(
-                (data, self.indices.astype(np.int32, copy=False), self.indptr),
-                shape=(self.n, self.n))
-        return self._csr
-
     def degree_distribution(self) -> "DegreeDistribution":
         degs = self.degrees
         counts = np.bincount(degs) if self.n else np.zeros(1, dtype=np.int64)
@@ -176,8 +165,10 @@ class Graph:
         for v in range(self.n):
             nb = self.neighbors(v)
             assert np.all(np.diff(nb) > 0), f"row {v} not strictly sorted"
-        a = self.to_scipy()
-        assert (a != a.T).nnz == 0, "adjacency not symmetric"
+        # rows are sorted, so the (head, tail) keys are too
+        keys = heads * self.n + self.indices
+        assert np.array_equal(keys, np.sort(self.indices * self.n + heads)), \
+            "adjacency not symmetric"
         assert self.m * 2 == len(self.indices)
 
     def __repr__(self) -> str:
@@ -335,7 +326,40 @@ def wedge_count(g: Graph) -> int:
     return int((d * (d - 1) // 2).sum())
 
 
-# -- closure-rate curve -------------------------------------------------
+# -- pair table and closure-rate curve ---------------------------------
+
+
+def pair_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """Every pair u < w with at least one common neighbor, sorted by (u, w).
+
+    Returns (u, w, count, adjacent): int64 endpoints, the int32
+    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag. The
+    counts are the upper triangle of sparse A @ A, so only pairs joined
+    by a wedge are touched. This is the package's one use of SciPy,
+    imported here so that start-up does not pay for it.
+    """
+    from scipy import sparse
+    a = sparse.csr_matrix((np.ones(len(g.indices), dtype=np.int32),
+                           g.indices, g.indptr), shape=(g.n, g.n))
+    # A @ A is symmetric, so transposing it with SciPy's counting sort
+    # gives the same matrix with each row's columns in ascending order
+    p = (a @ a).T.tocsr()
+    rows = np.repeat(np.arange(g.n, dtype=p.indices.dtype), np.diff(p.indptr))
+    upper = p.indices > rows
+    u = rows[upper].astype(np.int64)
+    w = p.indices[upper].astype(np.int64)
+    count = p.data[upper]
+    del a, p, rows, upper  # free the product before the lookups
+    keys = u * g.n + w
+    edges = g.edge_array()
+    qk = edges[:, 0] * g.n + edges[:, 1]
+    pos = np.searchsorted(keys, qk)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == qk[hit]
+    adjacent = np.zeros(keys.size, dtype=bool)
+    adjacent[pos[hit]] = True
+    return u, w, count, adjacent
 
 
 @dataclass
@@ -367,23 +391,14 @@ def closure_rate_curve(g: Graph) -> ClosureRateCurve:
     """Figure-style closure curve: for each k >= 1, how many pairs have
     exactly k common neighbors and how many of those are adjacent.
 
-    Pairs are enumerated through wedges (sparse A @ A), so only pairs
-    with a common neighbor are ever touched.
+    Both counts are histograms over ``pair_table``, so only pairs with a
+    common neighbor are ever touched.
     """
     density = g.m / math.comb(g.n, 2) if g.n >= 2 else 0.0
-    if g.m == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return ClosureRateCurve(z, z.copy(), z.copy(), density)
-    a = g.to_scipy()
-    p = (a @ a).tocsr()
-    up = sparse.triu(p, k=1).tocoo()  # k=1 drops the diagonal
-    counts = up.data.astype(np.int64)
-    closed = np.asarray(
-        sparse.triu(p.multiply(a), k=1).tocoo().data, dtype=np.int64)
-    pair_hist = np.bincount(counts)
-    closed_hist = np.bincount(closed, minlength=len(pair_hist))
+    _, _, count, adjacent = pair_table(g)
+    pair_hist = np.bincount(count)
+    closed_hist = np.bincount(count[adjacent], minlength=len(pair_hist))
     ks = np.nonzero(pair_hist)[0]
-    ks = ks[ks >= 1]
     return ClosureRateCurve(ks.astype(np.int64), pair_hist[ks],
                             closed_hist[ks], density)
 

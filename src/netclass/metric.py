@@ -166,6 +166,8 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
     recorded in the report; the pairs' distances come from the same
     one-BFS-per-source sweep that gives tau and the eccentricities.
     """
+    if sample_pairs < 0:
+        raise ValueError("sample_pairs must be non-negative")
     _require_connected(g)
     n = g.n
     k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly

@@ -115,6 +115,13 @@ class TestSubcommands:
         assert doc["rng_seed"] == 9
         assert doc["property1_fraction"] == 1.0
 
+    def test_bct_negative_samples_exit_1(self, capsys, k4_file):
+        assert main(["bct", k4_file, "--samples", "-5", "--largest-cc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("netclass: sample_pairs must be "
+                                "non-negative\n")
+
     def test_curve_embedded_and_file(self, capsys, k4_file, tmp_path):
         doc = run_json(capsys, ["curve", k4_file])
         assert doc["csv"].startswith("k,pairs,closed,rate")
@@ -193,12 +200,14 @@ class TestContracts:
 
     def test_start_up_skips_scipy_stats(self):
         # scipy.stats costs most of the CLI's import time; the metric
-        # layer computes its one rank correlation with NumPy instead
+        # layer computes its one rank correlation with NumPy instead, and
+        # scipy.sparse is imported only when a pair table is built
         src = str(Path(netclass.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import netclass.cli, sys; "
-                "sys.exit('scipy.stats' in sys.modules)")
+                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+                "for m in sys.modules))")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0

@@ -12,7 +12,7 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             common_neighbors, connected_components,
                             jaccard_similarity, largest_component,
-                            load_edge_list, wedge_count)
+                            load_edge_list, pair_table, wedge_count)
 
 from conftest import (adjacency_sets, brute_common_neighbors, brute_wedges,
                       random_graph_stream)
@@ -94,6 +94,23 @@ class TestLoadEdgeList:
             g.validate()
 
 
+class TestValidate:
+    @staticmethod
+    def _graph(rows: list[list[int]]) -> Graph:
+        indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+        indices = np.array([v for r in rows for v in r], dtype=np.int64)
+        return Graph(len(rows), indptr, indices)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1], [2], []], "not symmetric"),      # no reverse edges
+        ([[2, 1], [0], [0]], "not strictly sorted"),
+        ([[0, 1], [0], []], "self-loop"),
+    ], ids=["asymmetric", "unsorted-row", "self-loop"])
+    def test_broken_graph_rejected(self, rows, message):
+        with pytest.raises(AssertionError, match=message):
+            self._graph(rows).validate()
+
+
 class TestCommonNeighbors:
     def test_path_endpoints_share_center(self):
         g = path_graph(3)
@@ -152,6 +169,29 @@ class TestWedges:
     def test_matches_two_hop_enumeration(self, seed):
         g = next(random_graph_stream(1, 50, seed=seed))
         assert wedge_count(g) == brute_wedges(g)
+
+
+class TestPairTable:
+    @staticmethod
+    def _graphs():
+        yield Graph.from_edges([], n=0)
+        yield Graph.from_edges([], n=6)
+        yield complete_graph(7)
+        yield from random_graph_stream(30, 30, seed=21)
+
+    def test_matches_brute_force(self):
+        for g in self._graphs():
+            adj = adjacency_sets(g)
+            expected = [(u, w, len(adj[u] & adj[w]), w in adj[u])
+                        for u, w in itertools.combinations(range(g.n), 2)
+                        if adj[u] & adj[w]]
+            u, w, count, adjacent = pair_table(g)
+            rows = list(zip(u.tolist(), w.tolist(), count.tolist(),
+                            adjacent.tolist()))
+            # combinations() lists pairs in (u, w) order, so equality
+            # checks sorting, uniqueness and every field at once
+            assert rows == expected
+            assert adjacent.dtype == bool
 
 
 class TestClosureRateCurve:

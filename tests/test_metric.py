@@ -162,6 +162,10 @@ class TestBctReport:
         assert fracs == sorted(fracs, reverse=True)
         assert fracs[0] > 0
 
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="sample_pairs must be non-negative"):
+            bct_properties_report(complete_graph(5), sample_pairs=-5)
+
 
 def oracle_bct(g: Graph, sample_pairs: int, rng_seed: int) -> dict:
     """BCT report fields from all-pairs distances and the seeded sampler."""
