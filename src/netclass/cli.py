@@ -1,11 +1,13 @@
 """Command-line front end: one subcommand per analysis family.
 
-Every subcommand reads a SNAP-style edge list, emits a JSON document to
-stdout (or ``--out``), and uses original vertex ids in anything it
-prints. Runs are deterministic for fixed inputs and seeds; wall-clock
-timings are only included when ``--timings`` is passed, so default
-output stays byte-identical across repeat runs. Exit codes: 0 success,
-1 data/domain error, 2 usage error.
+``main`` is the one document path: it loads the edge list, frames the
+envelope (``schema_version``, ``tool_version`` and ``dataset``; ``fetch``
+gets only the first two) and writes sorted-key JSON through ``_write`` to
+stdout or ``--out``. Handlers return only their body, in original vertex
+ids; ``cliques --enumerate`` writes lines instead. Runs are deterministic
+for fixed inputs and seeds; wall-clock timings appear only with
+``--timings``, so default output stays byte-identical across repeat runs.
+Exit codes: 0 success, 1 data/domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ from .closure import weak_closure_number
 from .cliques import (DEFAULT_CLIQUE_BUDGET, enumerate_all_cliques,
                       enumerate_maximal_cliques, maximum_clique)
 from .datasets import MANIFEST, default_cache_dir, fetch_dataset
-from .errors import (BudgetExceededError, DatasetError, NotConnectedError,
-                     ParseError)
-from .graph import Graph, LoadStats, closure_rate_curve, load_edge_list
+from .errors import BudgetExceededError, DatasetError, ParseError
+from .graph import Graph, closure_rate_curve, load_edge_list
 from .metric import bct_properties_report, eccentricities, two_sweep
 from .plb import fit_gamma, plb_constant, plb_diagnostics
 from .triangles import tightly_knit_decomposition, triangle_count_oriented
 
 SCHEMA_VERSION = 1
+# a phase budget must fit the interval timer; 1e9 s does wherever
+# time_t is 32 bits or wider
+MAX_BUDGET_SECONDS = 1e9
 
 
 class _PhaseTimeout(Exception):
@@ -38,9 +42,9 @@ class _PhaseTimeout(Exception):
 
 
 @contextmanager
-def _alarm(seconds: float | None):
+def _alarm(seconds: float):
     """Interrupt the enclosed phase after a wall-clock budget (POSIX only)."""
-    if not seconds or seconds <= 0 or not hasattr(signal, "SIGALRM"):
+    if not hasattr(signal, "SIGALRM"):
         yield
         return
 
@@ -56,33 +60,17 @@ def _alarm(seconds: float | None):
         signal.signal(signal.SIGALRM, old)
 
 
-def _load(path: str) -> tuple[Graph, LoadStats]:
-    return load_edge_list(path, return_stats=True)
+def _budget_seconds(text: str) -> float:
+    """``--budget-seconds``: a positive, finite budget the timer can hold."""
+    seconds = float(text)
+    if not 0 < seconds <= MAX_BUDGET_SECONDS:
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds in (0, {MAX_BUDGET_SECONDS:g}], "
+            f"got {text!r}")
+    return seconds
 
 
-def _dataset_block(path: str, g: Graph, stats: LoadStats) -> dict:
-    return {
-        "path": str(path),
-        "raw_edge_lines": stats.raw_lines,
-        "self_loops_dropped": stats.self_loops,
-        "duplicates_dropped": stats.duplicates,
-        "n": g.n,
-        "m": g.m,
-    }
-
-
-def _document(path: str, g: Graph, stats: LoadStats, body: dict) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "dataset": _dataset_block(path, g, stats),
-    }
-    doc.update(body)
-    return doc
-
-
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -99,57 +87,38 @@ def _maybe_largest_cc(g: Graph, use_largest: bool) -> Graph:
 # -- subcommand bodies -------------------------------------------------
 
 
-def _cmd_closure(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_closure(g: Graph, args) -> dict:
     profile = weak_closure_number(g)
-    _emit(_document(args.file, g, stats, {
-        "n": g.n,
-        "m": g.m,
-        "c": profile.c_closure,
-        "weak_c": profile.weak_closure,
-    }), args.out)
-    return 0
+    return {"n": g.n, "m": g.m, "c": profile.c_closure,
+            "weak_c": profile.weak_closure}
 
 
-def _cmd_cliques(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_cliques(g: Graph, args) -> dict | None:
     budget = args.budget
     if args.enumerate:
         cliques = enumerate_maximal_cliques(g, budget=budget)
-        lines = [" ".join(str(g.label_of(v)) for v in c) for c in cliques]
-        text = "\n".join(lines) + ("\n" if lines else "")
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+        lines = [" ".join(str(g.label_of(v)) for v in c) + "\n"
+                 for c in cliques]
+        _write("".join(lines), args.out)
+        return None
     if args.max:
         best = maximum_clique(g, budget=budget)
-        body = {"maximum_clique": sorted(g.label_of(v) for v in best),
+        return {"maximum_clique": sorted(g.label_of(v) for v in best),
                 "maximum_clique_size": len(best)}
-    elif args.count_all:
-        body = {"all_cliques_count": enumerate_all_cliques(g, budget=budget)}
-    else:
-        body = {"maximal_clique_count": len(enumerate_maximal_cliques(
-            g, budget=budget))}
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
+    if args.count_all:
+        return {"all_cliques_count": enumerate_all_cliques(g, budget=budget)}
+    return {"maximal_clique_count": len(enumerate_maximal_cliques(
+        g, budget=budget))}
 
 
-def _cmd_triangle(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_triangle(g: Graph, args) -> dict:
     res = triangle_count_oriented(g)
-    _emit(_document(args.file, g, stats, {
-        "t": res.triangle_count,
-        "w": res.wedge_count,
-        "tau": res.density,
-        "oriented_pair_checks": res.operation_count,
-    }), args.out)
-    return 0
+    return {"t": res.triangle_count, "w": res.wedge_count,
+            "tau": res.density, "oriented_pair_checks": res.operation_count}
 
 
-def _tkf_body(g: Graph, epsilon: float | None) -> dict:
-    family = tightly_knit_decomposition(g, epsilon=epsilon)
+def _cmd_tkf(g: Graph, args) -> dict:
+    family = tightly_knit_decomposition(g, epsilon=args.epsilon)
     clusters = []
     for members, cert in zip(family.clusters, family.certificates):
         clusters.append({
@@ -172,21 +141,15 @@ def _tkf_body(g: Graph, epsilon: float | None) -> dict:
     }
 
 
-def _cmd_tkf(args) -> int:
-    g, stats = _load(args.file)
-    _emit(_document(args.file, g, stats, _tkf_body(g, args.epsilon)), args.out)
-    return 0
-
-
-def _plb_body(g: Graph, gamma: float | None, shift: float) -> dict:
+def _cmd_plb(g: Graph, args) -> dict:
     dd = g.degree_distribution()
-    if gamma is None:
-        chosen = fit_gamma(dd, shift=shift)
+    if args.gamma is None:
+        chosen = fit_gamma(dd, shift=args.shift)
         fit = chosen.fit
         fit_info = {"auto_gamma": True, "objective": chosen.objective,
                     "heuristic": True}
     else:
-        fit = plb_constant(dd, gamma, shift)
+        fit = plb_constant(dd, args.gamma, args.shift)
         fit_info = {"auto_gamma": False}
     buckets = [{
         "r": b.r, "lo": b.lo, "hi": b.hi, "mass": b.mass,
@@ -196,48 +159,33 @@ def _plb_body(g: Graph, gamma: float | None, shift: float) -> dict:
     body = {"gamma": fit.gamma, "shift": fit.shift, "c": fit.c_plb,
             "isolated_vertices": fit.isolated, "buckets": buckets}
     body.update(fit_info)
+    if args.tail_csv:
+        lines = ["k,tail_mass,reference,ratio"]
+        lines += [f"{p.k},{p.tail_mass},{p.reference:.10g},{p.ratio:.10g}"
+                  for p in plb_diagnostics(g, fit).tail]
+        _write("\n".join(lines) + "\n", args.tail_csv)
+        body["tail_csv"] = str(args.tail_csv)
     return body
 
 
-def _cmd_plb(args) -> int:
-    g, stats = _load(args.file)
-    body = _plb_body(g, args.gamma, args.shift)
-    if args.tail_csv:
-        dd = g.degree_distribution()
-        fit = plb_constant(dd, body["gamma"], body["shift"])
-        diag = plb_diagnostics(g, fit)
-        lines = ["k,tail_mass,reference,ratio"]
-        lines += [f"{p.k},{p.tail_mass},{p.reference:.10g},{p.ratio:.10g}"
-                  for p in diag.tail]
-        Path(args.tail_csv).write_text("\n".join(lines) + "\n")
-        body["tail_csv"] = str(args.tail_csv)
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
-
-
-def _cmd_diameter(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_diameter(g: Graph, args) -> dict:
     h = _maybe_largest_cc(g, args.largest_cc)
     if args.exact:
         profile = eccentricities(h)
-        body = {"method": "exact", "diameter": profile.diameter,
+        return {"method": "exact", "diameter": profile.diameter,
                 "radius": int(profile.eccentricity.min()),
                 "component_n": h.n}
-    else:
-        res = two_sweep(h)
-        body = {"method": "two-sweep", "diameter_lower_bound": res.lower_bound,
-                "endpoints": [int(h.labels[res.turn]), int(h.labels[res.far])],
-                "component_n": h.n}
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
+    res = two_sweep(h)
+    return {"method": "two-sweep", "diameter_lower_bound": res.lower_bound,
+            "endpoints": [int(h.labels[res.turn]), int(h.labels[res.far])],
+            "component_n": h.n}
 
 
-def _cmd_bct(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_bct(g: Graph, args) -> dict:
     h = _maybe_largest_cc(g, args.largest_cc)
     rep = bct_properties_report(h, sample_pairs=args.samples,
                                 rng_seed=args.rng_seed)
-    body = {
+    return {
         "component_n": h.n,
         "k_star": rep.k_star,
         "level_average": rep.level_average,
@@ -251,30 +199,22 @@ def _cmd_bct(args) -> int:
                 "r_squared": rep.fit.r_squared},
         "rng_seed": rep.rng_seed,
     }
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
 
 
-def _cmd_curve(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_curve(g: Graph, args) -> dict:
     curve = closure_rate_curve(g)
     csv_text = curve.to_csv()
-    body = {
+    if args.csv:
+        _write(csv_text, args.csv)
+    return {
         "edge_density": curve.edge_density,
         "max_common_neighbors": int(curve.ks.max()) if curve.ks.size else 0,
         "pairs_with_common_neighbors": int(curve.pair_counts.sum()),
+        "csv": str(args.csv) if args.csv else csv_text,
     }
-    if args.csv:
-        Path(args.csv).write_text(csv_text)
-        body["csv"] = str(args.csv)
-    else:
-        body["csv"] = csv_text
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
 
 
-def _cmd_report(args) -> int:
-    g, stats = _load(args.file)
+def _cmd_report(g: Graph, args) -> dict:
     phases: dict[str, dict] = {}
     timings: dict[str, float] = {}
 
@@ -286,7 +226,7 @@ def _cmd_report(args) -> int:
         except _PhaseTimeout:
             phases[name] = {"status": "skipped",
                             "reason": f"budget of {args.budget_seconds}s exceeded"}
-        except (ValueError, NotConnectedError, BudgetExceededError) as exc:
+        except (ValueError, BudgetExceededError) as exc:
             phases[name] = {"status": "error", "reason": str(exc)}
         timings[name] = time.perf_counter() - start
 
@@ -305,12 +245,6 @@ def _cmd_report(args) -> int:
         return {"t": res.triangle_count, "w": res.wedge_count,
                 "tau": res.density}
 
-    def tkf_phase():
-        return _tkf_body(g, args.epsilon)
-
-    def plb_phase():
-        return _plb_body(g, args.gamma, args.shift)
-
     def diameter_phase():
         h = _maybe_largest_cc(g, True)
         res = two_sweep(h)
@@ -327,34 +261,23 @@ def _cmd_report(args) -> int:
     run_phase("closure", closure_phase)
     run_phase("cliques", cliques_phase)
     run_phase("triangle", triangle_phase)
-    run_phase("tkf", tkf_phase)
-    run_phase("plb", plb_phase)
+    run_phase("tkf", lambda: _cmd_tkf(g, args))
+    run_phase("plb", lambda: _cmd_plb(g, args))
     run_phase("diameter", diameter_phase)
     run_phase("curve", curve_phase)
 
     body = {"phases": phases}
     if args.timings:
         body["timings_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    _emit(_document(args.file, g, stats, body), args.out)
-    return 0
+    return body
 
 
-def _cmd_fetch(args) -> int:
+def _cmd_fetch(args) -> dict:
     res = fetch_dataset(args.name, cache_dir=args.cache_dir)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "name": res.name,
-        "path": str(res.path),
-        "from_cache": res.from_cache,
-        "verified": res.verified,
-        "n": res.n,
-        "m": res.m,
-        "raw_edge_lines": res.raw_edge_lines,
-        "note": res.note,
-    }
-    _emit(doc, args.out)
-    return 0
+    return {"name": res.name, "path": str(res.path),
+            "from_cache": res.from_cache, "verified": res.verified,
+            "n": res.n, "m": res.m, "raw_edge_lines": res.raw_edge_lines,
+            "note": res.note}
 
 
 # -- argument parsing -----------------------------------------------------
@@ -422,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(otherwise embedded in the JSON)")
 
     p = add("report", _cmd_report, "run every analysis with per-phase budgets")
-    p.add_argument("--budget-seconds", type=float, default=60.0,
+    p.add_argument("--budget-seconds", type=_budget_seconds, default=60.0,
                    dest="budget_seconds")
     p.add_argument("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET,
                    dest="clique_budget")
@@ -432,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical "
                         "reruns)")
+    p.set_defaults(tail_csv=None)  # the plb phase runs the plb handler
 
     p = add("fetch", _cmd_fetch, "download and cache a known dataset")
     p.add_argument("name", choices=sorted(MANIFEST))
@@ -442,17 +366,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    doc = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}
     try:
-        return args.handler(args)
+        if args.command == "fetch":
+            body = args.handler(args)
+        else:
+            g, stats = load_edge_list(args.file, return_stats=True)
+            doc["dataset"] = {
+                "path": str(args.file),
+                "raw_edge_lines": stats.raw_lines,
+                "self_loops_dropped": stats.self_loops,
+                "duplicates_dropped": stats.duplicates,
+                "n": g.n,
+                "m": g.m,
+            }
+            body = args.handler(g, args)
+        if body is not None:
+            doc.update(body)
+            _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        return 0
     except ParseError as exc:
         print(f"netclass: parse error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, NotConnectedError, BudgetExceededError) as exc:
-        print(f"netclass: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (DatasetError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"netclass: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,6 @@ class CliqueSet:
     """
 
     cliques: list[tuple[int, ...]]
-    graph_fingerprint: str
 
     def __len__(self) -> int:
         return len(self.cliques)
@@ -39,6 +38,8 @@ class CliqueSet:
         return iter(self.cliques)
 
     def largest(self) -> tuple[int, ...]:
+        if not self.cliques:
+            raise ValueError("maximum clique of the empty graph is undefined")
         best_size = max(len(c) for c in self.cliques)
         return min(c for c in self.cliques if len(c) == best_size)
 
@@ -69,13 +70,10 @@ class OrientedGraph:
 
 def _orient_by_rank(g: Graph, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR of out-neighbors when each edge points up the given ranks."""
-    edges = g.edge_array()
-    u, v = edges[:, 0], edges[:, 1]
-    forward = rank[u] < rank[v]
-    heads = np.where(forward, u, v)
-    tails = np.where(forward, v, u)
-    order = np.lexsort((tails, heads))
-    return row_pointers(heads[order], g.n), tails[order]
+    heads = np.repeat(np.arange(g.n), g.degrees)
+    up = rank[g.indices] > rank[heads]
+    # rows stay in head order and sorted within, so the mask keeps CSR order
+    return row_pointers(heads[up], g.n), g.indices[up]
 
 
 def degeneracy_ordering(g: Graph) -> OrientedGraph:
@@ -176,8 +174,7 @@ def enumerate_maximal_cliques_backtracking(
         visited.clear()
         run(start, start, frozenset())
 
-    return CliqueSet(cliques=sorted(tuple(sorted(c)) for c in found),
-                     graph_fingerprint=g.fingerprint())
+    return CliqueSet(cliques=sorted(tuple(sorted(c)) for c in found))
 
 
 def enumerate_maximal_cliques(g: Graph,
@@ -212,13 +209,11 @@ def enumerate_maximal_cliques(g: Graph,
         earlier = adj[v] - later
         expand([v], later, earlier)
 
-    return CliqueSet(cliques=sorted(out), graph_fingerprint=g.fingerprint())
+    return CliqueSet(cliques=sorted(out))
 
 
 def maximum_clique(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> tuple[int, ...]:
     """A largest clique, taken from the maximal-clique enumeration."""
-    if g.n == 0:
-        raise ValueError("maximum clique of the empty graph is undefined")
     return enumerate_maximal_cliques(g, budget=budget).largest()
 
 

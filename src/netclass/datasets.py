@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import gzip
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,10 +87,11 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
     path = cache_dir / f"{name}.txt"
     from_cache = path.exists()
     if not from_cache:
+        import urllib.request  # with http.client and ssl: costly at start-up
         try:
             with urllib.request.urlopen(entry["url"], timeout=timeout) as resp:
                 payload = resp.read()
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # URLError is an OSError
             raise DatasetError(
                 f"could not retrieve {name} from {entry['url']}: {exc}") from exc
         if payload[:2] == b"\x1f\x8b":

@@ -7,7 +7,6 @@ safe to call concurrently once a graph is built.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -34,8 +33,7 @@ class Graph:
     edges, symmetric adjacency, neighbor lists sorted ascending.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "labels", "_label_index",
-                 "_fingerprint")
+    __slots__ = ("n", "m", "indptr", "indices", "labels", "_label_index")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  labels: np.ndarray | None = None):
@@ -47,7 +45,6 @@ class Graph:
             labels = np.arange(n, dtype=np.int64)
         self.labels = labels
         self._label_index: dict[int, int] | None = None
-        self._fingerprint: str | None = None
 
     # -- construction ------------------------------------------------
 
@@ -148,15 +145,6 @@ class Graph:
         h, t = newid[heads[emask]], newid[self.indices[emask]]
         # heads were ascending and within-row targets sorted, so CSR order holds
         return Graph(S.size, row_pointers(h, S.size), t, labels=self.labels[S])
-
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(str(self.n).encode())
-            h.update(self.indptr.tobytes())
-            h.update(self.indices.tobytes())
-            self._fingerprint = h.hexdigest()[:16]
-        return self._fingerprint
 
     def validate(self) -> None:
         """Check simplicity and symmetry; raises AssertionError on violation."""

@@ -198,16 +198,38 @@ class TestContracts:
         assert main(["cliques", moonmoser12_file, "--budget", "5"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "-1", "0"])
+    def test_report_budget_seconds_usage_error(self, capsys, k4_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", k4_file, "--budget-seconds", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget-seconds" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_empty_graph_clique_message(self, capsys, tmp_path):
+        f = tmp_path / "comments.txt"
+        f.write_text("# no edges\n# at all\n")
+        assert main(["cliques", str(f), "--max"]) == 1
+        message = "maximum clique of the empty graph is undefined"
+        assert capsys.readouterr().err == f"netclass: {message}\n"
+        doc = run_json(capsys, ["report", str(f)])
+        assert doc["phases"]["cliques"] == {"status": "error",
+                                            "reason": message}
+
     def test_start_up_skips_scipy_stats(self):
         # scipy.stats costs most of the CLI's import time; the metric
         # layer computes its one rank correlation with NumPy instead, and
-        # scipy.sparse is imported only when a pair table is built
+        # scipy.sparse is imported only when a pair table is built;
+        # urllib.request (with http.client and ssl) only when fetch
+        # downloads
         src = str(Path(netclass.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import netclass.cli, sys; "
                 "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
-                "for m in sys.modules))")
+                "or m == 'urllib.request' for m in sys.modules))")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0

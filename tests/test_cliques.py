@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from netclass.cliques import (degeneracy_ordering, degree_orientation,
+from netclass.cliques import (CliqueSet, degeneracy_ordering,
+                              degree_orientation,
                               enumerate_all_cliques,
                               enumerate_maximal_cliques,
                               enumerate_maximal_cliques_backtracking,
@@ -117,6 +118,13 @@ class TestMaximumClique:
         with pytest.raises(ValueError):
             maximum_clique(Graph.from_edges([], n=0))
 
+    def test_empty_clique_set_has_no_largest(self):
+        message = "maximum clique of the empty graph is undefined"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CliqueSet(cliques=[]).largest()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            maximum_clique(Graph.from_edges([], n=0))
+
     def test_matches_oracle_max(self):
         for g in random_graph_stream(20, 14, seed=83):
             oracle = max((len(c) for c in brute_maximal_cliques(g)), default=0)
@@ -182,6 +190,26 @@ class TestDegreeOrientation:
             for u in range(g.n):
                 for v in og.out_neighbors(u).tolist():
                     assert (degs[u], u) < (degs[v], v)
+
+
+class TestOrientationOracle:
+    """Out-neighbor rows against a set-based orientation by the same ranks."""
+
+    @pytest.mark.parametrize("orient", [degeneracy_ordering,
+                                        degree_orientation])
+    def test_rows_match_brute_force(self, orient):
+        for g in random_graph_stream(30, 30, seed=113):
+            og = orient(g)
+            rank = og.rank.tolist()
+            assert [rank[v] for v in og.order.tolist()] == list(range(g.n))
+            adj = adjacency_sets(g)
+            expected = [sorted(w for w in adj[v] if rank[w] > rank[v])
+                        for v in range(g.n)]
+            assert og.out_indptr.tolist() == [0] + list(
+                itertools.accumulate(len(row) for row in expected))
+            assert og.out_indices.tolist() == [w for row in expected
+                                               for w in row]
+            assert og.out_indptr.dtype == og.out_indices.dtype == np.int64
 
 
 class TestEnumerateAllCliques:
