@@ -78,12 +78,24 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
     held it; a lazy heap keyed by (requirement, vertex) picks the next
     removal.
     """
+    # the full table is freed once _open_pairs returns, before the greedy
+    return _weak_closure_from_pairs(g, _open_pairs(pair_table(g)))
+
+
+def _open_pairs(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the non-adjacent rows (u, w, count) of a ``pair_table``."""
+    u, w, count, adjacent = table
+    return u[~adjacent], w[~adjacent], count[~adjacent]
+
+
+def _weak_closure_from_pairs(g: Graph, open_pairs) -> ClosureProfile:
+    """``weak_closure_number`` from the ``_open_pairs`` of g's pair table;
+    it updates their counts in place."""
     n = g.n
     if n == 0:
         return ClosureProfile(1, 1, (), ())
 
-    u, w, counts, adjacent = pair_table(g)
-    u, w, counts = u[~adjacent], w[~adjacent], counts[~adjacent]
+    u, w, counts = open_pairs
     c_closure = int(counts.max(initial=0)) + 1
     keys = u * n + w  # sorted, as the table is
 

@@ -17,6 +17,9 @@ from .errors import ParseError
 
 UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
 _ID_MIN, _ID_MAX = -2**63, 2**63 - 1  # vertex ids must fit in int64
+# wedge paths walked per block of the pair table: larger blocks cost
+# memory, smaller ones per-block NumPy overhead
+PAIR_BLOCK_PATHS = 1 << 18
 
 
 def row_pointers(heads: np.ndarray, n: int) -> np.ndarray:
@@ -322,24 +325,21 @@ def pair_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """Every pair u < w with at least one common neighbor, sorted by (u, w).
 
     Returns (u, w, count, adjacent): int64 endpoints, the int32
-    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag. The
-    counts are the upper triangle of sparse A @ A, so only pairs joined
-    by a wedge are touched. This is the package's one use of SciPy,
-    imported here so that start-up does not pay for it.
+    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag.
+
+    The counts come from walking the wedge paths u-v-w with w > u, so
+    only pairs joined by a wedge are touched. The walk goes in blocks of
+    consecutive u holding at most ``PAIR_BLOCK_PATHS`` paths (a vertex
+    with more paths is a block of its own), and each block's
+    ``np.unique`` over the keys u * n + w counts its pairs. Blocks cover
+    increasing u, so their concatenation is already sorted, and the
+    walk's memory is bounded by the block, not by the wedge count.
     """
-    from scipy import sparse
-    a = sparse.csr_matrix((np.ones(len(g.indices), dtype=np.int32),
-                           g.indices, g.indptr), shape=(g.n, g.n))
-    # A @ A is symmetric, so transposing it with SciPy's counting sort
-    # gives the same matrix with each row's columns in ascending order
-    p = (a @ a).T.tocsr()
-    rows = np.repeat(np.arange(g.n, dtype=p.indices.dtype), np.diff(p.indptr))
-    upper = p.indices > rows
-    u = rows[upper].astype(np.int64)
-    w = p.indices[upper].astype(np.int64)
-    count = p.data[upper]
-    del a, p, rows, upper  # free the product before the lookups
-    keys = u * g.n + w
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32))]
+    blocks += _pair_blocks(g)
+    keys = np.concatenate([k for k, _ in blocks])
+    count = np.concatenate([c for _, c in blocks])
+    del blocks
     edges = g.edge_array()
     qk = edges[:, 0] * g.n + edges[:, 1]
     pos = np.searchsorted(keys, qk)
@@ -347,7 +347,38 @@ def pair_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     hit[hit] = keys[pos[hit]] == qk[hit]
     adjacent = np.zeros(keys.size, dtype=bool)
     adjacent[pos[hit]] = True
+    u, w = np.divmod(keys, max(g.n, 1))
     return u, w, count, adjacent
+
+
+def _pair_blocks(g: Graph):
+    """Sorted keys u * n + w and their path counts, one block of u at a time."""
+    n, indptr, indices = g.n, g.indptr, g.indices
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # slot s holds u -> v and back[s] holds v -> u: the graph is
+    # symmetric and its rows are sorted, so ordering the slots by
+    # (tail, head) lists each slot's reverse in slot order
+    back = np.argsort(indices, kind="stable")
+    # v's neighbors above u are the tail of v's row after back[s]
+    above = indptr[indices + 1] - back - 1
+    slot_paths = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(above, out=slot_paths[1:])
+    vertex_paths = slot_paths[indptr]  # paths from vertices before u
+    a = 0
+    while a < n:
+        b = int(np.searchsorted(vertex_paths, vertex_paths[a]
+                                + PAIR_BLOCK_PATHS, side="right")) - 1
+        b = max(b, a + 1)
+        lo, hi = indptr[a], indptr[b]
+        reps = above[lo:hi]
+        # path j of slot s is indices[back[s] + 1 + j]
+        pos = np.arange(slot_paths[lo], slot_paths[hi])
+        pos += np.repeat(back[lo:hi] + 1 - slot_paths[lo:hi], reps)
+        keys = indices[pos]
+        keys += np.repeat(heads[lo:hi] * n, reps)
+        keys, count = np.unique(keys, return_counts=True)
+        yield keys, count.astype(np.int32)
+        a = b
 
 
 @dataclass
@@ -382,8 +413,13 @@ def closure_rate_curve(g: Graph) -> ClosureRateCurve:
     Both counts are histograms over ``pair_table``, so only pairs with a
     common neighbor are ever touched.
     """
+    return _curve_from_table(g, pair_table(g))
+
+
+def _curve_from_table(g: Graph, table) -> ClosureRateCurve:
+    """``closure_rate_curve`` on a ``pair_table`` already built for g."""
     density = g.m / math.comb(g.n, 2) if g.n >= 2 else 0.0
-    _, _, count, adjacent = pair_table(g)
+    _, _, count, adjacent = table
     pair_hist = np.bincount(count)
     closed_hist = np.bincount(count[adjacent], minlength=len(pair_hist))
     ks = np.nonzero(pair_hist)[0]

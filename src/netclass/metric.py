@@ -48,7 +48,7 @@ class TailFit:
 
 def _require_connected(g: Graph) -> None:
     if g.n == 0:
-        raise NotConnectedError(0)
+        raise ValueError("the graph has no vertices")
     comp = connected_components(g)
     k = int(comp.max()) + 1
     if k != 1:

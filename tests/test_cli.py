@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -218,18 +219,66 @@ class TestContracts:
         assert doc["phases"]["cliques"] == {"status": "error",
                                             "reason": message}
 
-    def test_start_up_skips_scipy_stats(self):
+    def test_start_up_skips_scipy_stats(self, k4_file):
         # scipy.stats costs most of the CLI's import time; the metric
         # layer computes its one rank correlation with NumPy instead, and
-        # scipy.sparse is imported only when a pair table is built;
-        # urllib.request (with http.client and ssl) only when fetch
-        # downloads
+        # the pair table behind closure and curve is NumPy only;
+        # urllib.request (with http.client and ssl) is imported only
+        # when fetch downloads
         src = str(Path(netclass.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import netclass.cli, sys; "
-                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+                "code = sys.argv[1:] and netclass.cli.main(sys.argv[1:]); "
+                "sys.exit(code or any(m == 'scipy' or m.startswith('scipy.') "
                 "or m == 'urllib.request' for m in sys.modules))")
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=120).returncode == 0
+        # start-up alone, then the two subcommands that build a pair table
+        for argv in ([], ["closure", k4_file], ["curve", k4_file]):
+            run = subprocess.run([sys.executable, "-c", code, *argv],
+                                 env=env, capture_output=True, timeout=120)
+            assert run.returncode == 0, (argv, run.stderr)
+
+    def test_no_module_imports_scipy(self):
+        # NumPy is the only runtime dependency; SciPy stays a test oracle
+        for path in Path(netclass.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n == "scipy" or n.startswith("scipy.")
+                               for n in names), (path.name, node.lineno)
+
+    def test_report_builds_one_pair_table(self, capsys, monkeypatch,
+                                          k4_file):
+        from netclass.graph import pair_table
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return pair_table(g)
+        # patch every module that bound the name at import
+        for name, module in list(sys.modules.items()):
+            if name.startswith("netclass") and \
+                    getattr(module, "pair_table", None) is pair_table:
+                monkeypatch.setattr(module, "pair_table", counted)
+        doc = run_json(capsys, ["report", k4_file])
+        assert calls == [4]
+        assert doc["phases"]["closure"] == {"status": "ok", "c": 1,
+                                            "weak_c": 1}
+        assert doc["phases"]["curve"]["status"] == "ok"
+
+    @pytest.mark.parametrize("argv", [["diameter"], ["diameter", "--exact"],
+                                      ["bct", "--largest-cc"]])
+    def test_empty_graph_metric_message(self, capsys, tmp_path, argv):
+        f = tmp_path / "comments.txt"
+        f.write_text("# no edges\n")
+        assert main([*argv, str(f)]) == 1
+        assert capsys.readouterr().err == \
+            "netclass: the graph has no vertices\n"
+        doc = run_json(capsys, ["report", str(f)])
+        assert doc["phases"]["diameter"] == {
+            "status": "error", "reason": "the graph has no vertices"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netclass import graph as graph_module
 from netclass.errors import ParseError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, petersen_graph, star_graph)
@@ -179,19 +180,41 @@ class TestPairTable:
         yield complete_graph(7)
         yield from random_graph_stream(30, 30, seed=21)
 
+    @staticmethod
+    def _brute_rows(g):
+        # combinations() lists pairs in (u, w) order, so equality with
+        # these rows checks sorting, uniqueness and every field at once
+        adj = adjacency_sets(g)
+        return [(u, w, len(adj[u] & adj[w]), w in adj[u])
+                for u, w in itertools.combinations(range(g.n), 2)
+                if adj[u] & adj[w]]
+
     def test_matches_brute_force(self):
         for g in self._graphs():
-            adj = adjacency_sets(g)
-            expected = [(u, w, len(adj[u] & adj[w]), w in adj[u])
-                        for u, w in itertools.combinations(range(g.n), 2)
-                        if adj[u] & adj[w]]
             u, w, count, adjacent = pair_table(g)
             rows = list(zip(u.tolist(), w.tolist(), count.tolist(),
                             adjacent.tolist()))
-            # combinations() lists pairs in (u, w) order, so equality
-            # checks sorting, uniqueness and every field at once
-            assert rows == expected
+            assert rows == self._brute_rows(g)
             assert adjacent.dtype == bool
+
+    @pytest.mark.parametrize("block_paths", [1, 2, 5, 13])
+    def test_block_boundaries(self, monkeypatch, block_paths):
+        # a cap of a few wedge paths splits the walk at nearly every
+        # vertex, and a vertex with more paths than the cap is a block
+        # of its own, so every kind of boundary is crossed
+        monkeypatch.setattr(graph_module, "PAIR_BLOCK_PATHS", block_paths)
+        graphs = [Graph.from_edges([], n=0), Graph.from_edges([], n=6),
+                  complete_graph(7),
+                  # isolated vertices before, between and after the edges
+                  Graph.from_edges([(2, 3), (3, 4), (2, 4), (4, 6), (6, 7)],
+                                   n=10)]
+        graphs += random_graph_stream(20, 25, seed=43)
+        for g in graphs:
+            u, w, count, adjacent = pair_table(g)
+            assert list(zip(u.tolist(), w.tolist(), count.tolist(),
+                            adjacent.tolist())) == self._brute_rows(g)
+            assert (u.dtype, w.dtype, count.dtype, adjacent.dtype) == \
+                (np.int64, np.int64, np.int32, np.bool_)
 
 
 class TestClosureRateCurve:

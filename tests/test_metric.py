@@ -32,6 +32,11 @@ class TestEccentricities:
         profile = eccentricities(star_graph(5))
         assert profile.eccentricity.tolist() == [1, 2, 2, 2, 2, 2]
 
+    def test_empty_graph_rejected_as_empty(self):
+        with pytest.raises(ValueError, match="no vertices") as exc:
+            eccentricities(Graph.from_edges([], n=0))
+        assert not isinstance(exc.value, NotConnectedError)
+
     def test_disconnected_rejected_with_component_count(self):
         g = disjoint_union(path_graph(3), path_graph(4), path_graph(2))
         with pytest.raises(NotConnectedError, match="3 components"):
