@@ -126,6 +126,11 @@ def degree_orientation(g: Graph) -> OrientedGraph:
 # -- maximal clique enumeration -----------------------------------------
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+
+
 def enumerate_maximal_cliques_backtracking(
         g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueSet:
     """Per-vertex backtracking enumerator.
@@ -138,6 +143,7 @@ def enumerate_maximal_cliques_backtracking(
     through v; a clique is kept only at its minimum vertex, which
     deduplicates across the outer loop.
     """
+    _check_budget(budget)
     adj = g.adjacency_sets()
     found: set[frozenset[int]] = set()
     visited: set[tuple[int, frozenset[int]]] = set()
@@ -183,33 +189,68 @@ def enumerate_maximal_cliques(g: Graph,
 
     The outer loop fixes each vertex v in degeneracy order with its
     later neighbors as candidates and earlier ones as exclusions, which
-    keeps candidate sets no larger than the degeneracy; the inner
-    recursion picks a pivot maximizing candidate coverage. Emission is
-    polynomial-delay in practice and exact.
+    keeps candidate sets no larger than the degeneracy (Eppstein,
+    Löffler and Strash). The recursion works on Python-int bitsets local
+    to v: bit i stands for v's i-th smallest neighbor, and ``bits[i]``
+    holds that neighbor's own neighbors among them. The pivot is the
+    candidate or exclusion covering the most candidates, ties going to
+    the smallest id, and candidates are tried in ascending id, so the
+    emission order, and the clique at which the budget trips, are fixed.
     """
-    adj = g.adjacency_sets()
-    og = degeneracy_ordering(g)
+    _check_budget(budget)
     out: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            if len(out) > budget:
-                raise BudgetExceededError(budget, "maximal cliques")
-            return
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        for w in sorted(p - adj[pivot]):
-            expand(r + [w], p & adj[w], x & adj[w])
-            p.remove(w)
-            x.add(w)
+    def emit(clique: tuple[int, ...]) -> None:
+        out.append(clique)
+        if len(out) > budget:
+            raise BudgetExceededError(budget, "maximal cliques")
 
-    rank = og.rank
-    for v in og.order.tolist():
-        later = {w for w in adj[v] if rank[w] > rank[v]}
-        earlier = adj[v] - later
-        expand([v], later, earlier)
-
+    _bron_kerbosch(g, emit)
     return CliqueSet(cliques=sorted(out))
+
+
+def _bron_kerbosch(g: Graph, emit) -> None:
+    """Call ``emit`` on each maximal clique, an ascending tuple, in
+    ``enumerate_maximal_cliques``'s emission order."""
+    og = degeneracy_ordering(g)
+    rows = [g.neighbors(v).tolist() for v in range(g.n)]
+    rank = og.rank.tolist()
+    place = [0] * g.n  # 1 << i at v's i-th neighbor, 0 elsewhere
+
+    def expand(r: list[int], p: int, x: int) -> None:
+        if not p:
+            if not x:
+                emit(tuple(sorted(r)))
+            return
+        best, pivot, px = -1, 0, p | x
+        while px:
+            low = px & -px
+            u = low.bit_length() - 1
+            cover = (bits[u] & p).bit_count()
+            if cover > best:
+                best, pivot = cover, u
+            px ^= low
+        cand = p & ~bits[pivot]
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            expand(r + [nbrs[w]], p & bits[w], x & bits[w])
+            p ^= low
+            x |= low
+            cand ^= low
+
+    # expand reads nbrs and bits of the outer vertex in hand
+    for v in og.order.tolist():
+        nbrs, rv, later = rows[v], rank[v], 0
+        for i, w in enumerate(nbrs):
+            place[w] = 1 << i
+            if rank[w] > rv:
+                later |= 1 << i
+        # the bits are distinct, so their sum is their union
+        bits = [sum(map(place.__getitem__, rows[w])) for w in nbrs]
+        for w in nbrs:
+            place[w] = 0
+        expand([v], later, ((1 << len(nbrs)) - 1) ^ later)
 
 
 def maximum_clique(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> tuple[int, ...]:
@@ -225,6 +266,7 @@ def enumerate_all_cliques(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET,
     into out-neighborhoods, so each clique is generated exactly once
     (at its earliest vertex) and the work is O(n * 2^degeneracy).
     """
+    _check_budget(budget)
     og = degeneracy_ordering(g)
     out_adj = [set(og.out_neighbors(v).tolist()) for v in range(g.n)]
     count = 0

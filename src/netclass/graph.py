@@ -452,34 +452,42 @@ class BfsLevels:
 
 
 def bfs_levels(g: Graph, source: int) -> BfsLevels:
-    """Level-synchronized BFS from a single source."""
+    """Level-synchronized BFS from a single source.
+
+    Each level is one ``_next_level`` step, which marks the frontier's
+    neighbors in a boolean array, so no level sorts.
+    """
     g.check_vertex(source)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
+    unseen = np.ones(g.n, dtype=bool)
     frontier = np.array([source], dtype=np.int64)
-    level = 0
+    sizes = []
     while frontier.size:
-        nxt = _gather_neighbors(g, frontier)
-        nxt = nxt[dist[nxt] == UNREACHABLE]
-        if nxt.size:
-            nxt = np.unique(nxt)
-            level += 1
-            dist[nxt] = level
-        frontier = nxt
-    sizes = np.bincount(dist[dist >= 0], minlength=level + 1)
-    return BfsLevels(source=source, dist=dist, level_sizes=sizes)
+        unseen[frontier] = False
+        dist[frontier] = len(sizes)
+        sizes.append(frontier.size)
+        frontier = _next_level(g, frontier, unseen)
+    return BfsLevels(source=source, dist=dist,
+                     level_sizes=np.array(sizes, dtype=np.int64))
 
 
-def _gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of all frontier vertices."""
+def _next_level(g: Graph, frontier: np.ndarray,
+                unseen: np.ndarray) -> np.ndarray:
+    """Ascending unseen neighbors of a non-empty frontier.
+
+    The frontier's CSR rows are gathered in one pass: gathered slot j is
+    ``indices[j + shift]``, with the shift constant along each row. The
+    neighbors are marked in a boolean array, then masked by ``unseen``.
+    """
     starts = g.indptr[frontier]
     counts = g.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.arange(total) - offsets + np.repeat(starts, counts)
-    return g.indices[idx]
+    ends = np.cumsum(counts)
+    shift = np.repeat(starts - ends + counts, counts)
+    shift += np.arange(ends[-1])
+    reach = np.zeros(g.n, dtype=bool)
+    reach[g.indices[shift]] = True
+    reach &= unseen
+    return np.flatnonzero(reach)
 
 
 # -- connectivity ---------------------------------------------------------
@@ -488,19 +496,16 @@ def _gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
 def connected_components(g: Graph) -> np.ndarray:
     """Component id per vertex (0-based, by discovery order)."""
     comp = np.full(g.n, -1, dtype=np.int64)
+    unseen = np.ones(g.n, dtype=bool)
     cid = 0
     for s in range(g.n):
-        if comp[s] >= 0:
+        if not unseen[s]:
             continue
         frontier = np.array([s], dtype=np.int64)
-        comp[s] = cid
         while frontier.size:
-            nxt = _gather_neighbors(g, frontier)
-            nxt = nxt[comp[nxt] < 0]
-            if nxt.size:
-                nxt = np.unique(nxt)
-                comp[nxt] = cid
-            frontier = nxt
+            unseen[frontier] = False
+            comp[frontier] = cid
+            frontier = _next_level(g, frontier, unseen)
         cid += 1
     return comp
 

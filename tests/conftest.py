@@ -125,6 +125,26 @@ def brute_all_pairs_dist(g: Graph) -> np.ndarray:
     return dist
 
 
+def brute_components(g: Graph) -> list[int]:
+    """Component labels numbered by each component's smallest vertex,
+    found by a deque BFS over plain adjacency sets."""
+    adj = adjacency_sets(g)
+    label = [-1] * g.n
+    count = 0
+    for s in range(g.n):
+        if label[s] >= 0:
+            continue
+        label[s] = count
+        queue = deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if label[w] < 0:
+                    label[w] = count
+                    queue.append(w)
+        count += 1
+    return label
+
+
 def random_graph_stream(count: int, max_n: int, seed: int,
                         min_n: int = 1):
     """Reproducible stream of (graph, rng) with varied size and density."""

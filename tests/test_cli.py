@@ -199,6 +199,20 @@ class TestContracts:
         assert main(["cliques", moonmoser12_file, "--budget", "5"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--max"], ["--count-all"],
+                                      ["--enumerate"]])
+    def test_negative_clique_budget_exit_1(self, capsys, k4_file, mode):
+        assert main(["cliques", k4_file, "--budget", "-5", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "netclass: budget must be non-negative\n"
+
+    def test_report_negative_clique_budget(self, capsys, k4_file):
+        doc = run_json(capsys, ["report", k4_file, "--clique-budget", "-3"])
+        assert doc["phases"]["cliques"] == {
+            "status": "error", "reason": "budget must be non-negative"}
+        assert doc["phases"]["closure"]["status"] == "ok"
+
     @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "-1", "0"])
     def test_report_budget_seconds_usage_error(self, capsys, k4_file, value):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from netclass.cliques import (CliqueSet, degeneracy_ordering,
+from netclass.cliques import (CliqueSet, _bron_kerbosch, degeneracy_ordering,
                               degree_orientation,
                               enumerate_all_cliques,
                               enumerate_maximal_cliques,
@@ -65,6 +65,111 @@ class TestGeneralEnumerator:
             enumerate_maximal_cliques(moon_moser(12), budget=17)
         with pytest.raises(BudgetExceededError, match="11"):
             enumerate_maximal_cliques_backtracking(moon_moser(12), budget=11)
+
+
+def hub_graph() -> Graph:
+    """Vertex 30 joined to 72 others: a sparse random graph on 1..60
+    (ids 30 and up shifted by one) and Moon-Moser(12) on 61..72, which
+    sits at bits 60..71 of the hub's neighborhood bitset."""
+    rng = np.random.default_rng(17)
+    iu = np.triu_indices(60, k=1)
+    mask = rng.random(len(iu[0])) < 0.1
+    sparse = np.column_stack([iu[0][mask], iu[1][mask]]) + 1
+    mm = moon_moser(12).edge_array() + 61
+    edges = np.vstack([sparse, mm])
+    edges = np.vstack([edges, np.column_stack([np.zeros(72, dtype=np.int64),
+                                               np.arange(1, 73)])])
+    # move the hub to id 30 so it is neither the first nor the last id
+    perm = np.arange(73)
+    perm[[0, 30]] = perm[[30, 0]]
+    return Graph.from_edges(perm[edges], n=73)
+
+
+def moon_moser_join() -> Graph:
+    """Moon-Moser(9) joined to a 57-clique: 66 vertices, the 57 universal
+    ones of degree 65, and 27 maximal cliques (all 57 universal vertices
+    plus one vertex from each of the three triples)."""
+    return complete_multipartite([1] * 57 + [3, 3, 3])
+
+
+def reference_emission_order(g: Graph) -> list[tuple[int, ...]]:
+    """Maximal cliques in the order the pivoting Bron-Kerbosch emits
+    them, on plain adjacency sets: outer vertices in degeneracy order,
+    the pivot covering the most candidates (smallest id on ties) and
+    candidates in ascending id."""
+    adj = adjacency_sets(g)
+    order = degeneracy_ordering(g).order.tolist()
+    rank = {v: i for i, v in enumerate(order)}
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        for w in sorted(p - adj[pivot]):
+            expand(r + [w], p & adj[w], x & adj[w])
+            p = p - {w}
+            x = x | {w}
+
+    for v in order:
+        later = {w for w in adj[v] if rank[w] > rank[v]}
+        expand([v], later, adj[v] - later)
+    return out
+
+
+class TestWideNeighborhoods:
+    """Neighborhood bitsets wider than one 64-bit word."""
+
+    def test_hub_matches_oracles(self):
+        g = hub_graph()
+        assert int(g.degrees.max()) == g.degree(30) == 72
+        expected = brute_maximal_cliques(g)
+        cs = enumerate_maximal_cliques(g)
+        assert as_sets(cs) == expected
+        assert cs.cliques == enumerate_maximal_cliques_backtracking(g).cliques
+        hub_mm = [c for c in cs if c[0] == 30 and c[1] >= 61]
+        assert len(hub_mm) == 3 ** 4
+
+    def test_moon_moser_join_analytic(self):
+        g = moon_moser_join()
+        assert g.n == 66 and int(g.degrees.max()) == 65
+        expected = sorted(tuple(range(57)) + (a, b, c)
+                          for a in range(57, 60) for b in range(60, 63)
+                          for c in range(63, 66))
+        assert enumerate_maximal_cliques(g).cliques == expected
+
+    def test_budget_trips_at_budget_plus_one(self):
+        for g, total in [(hub_graph(), len(brute_maximal_cliques(hub_graph()))),
+                         (moon_moser_join(), 27)]:
+            assert len(enumerate_maximal_cliques(g, budget=total)) == total
+            message = f"^maximal cliques budget of {total - 1} exceeded$"
+            with pytest.raises(BudgetExceededError, match=message):
+                enumerate_maximal_cliques(g, budget=total - 1)
+
+    def test_emission_order_matches_set_reference(self):
+        for g in [hub_graph(), moon_moser_join(), moon_moser(12),
+                  *random_graph_stream(20, 30, seed=127)]:
+            seen = []
+            _bron_kerbosch(g, seen.append)
+            assert seen == reference_emission_order(g)
+
+
+class TestNegativeBudget:
+    @pytest.mark.parametrize("enumerate_fn", [
+        enumerate_maximal_cliques, enumerate_maximal_cliques_backtracking,
+        enumerate_all_cliques, maximum_clique])
+    @pytest.mark.parametrize("g", [Graph.from_edges([], n=0),
+                                   complete_graph(4)])
+    def test_rejected_before_any_work(self, enumerate_fn, g):
+        with pytest.raises(ValueError, match="^budget must be non-negative$"):
+            enumerate_fn(g, budget=-5)
+
+    def test_zero_budget_still_allowed(self):
+        assert len(enumerate_maximal_cliques(Graph.from_edges([], n=0),
+                                             budget=0)) == 0
+        with pytest.raises(BudgetExceededError, match="budget of 0"):
+            enumerate_maximal_cliques(complete_graph(1), budget=0)
 
 
 class TestEnumeratorAgreement:

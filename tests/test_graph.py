@@ -15,7 +15,8 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             jaccard_similarity, largest_component,
                             load_edge_list, pair_table, wedge_count)
 
-from conftest import (adjacency_sets, brute_common_neighbors, brute_wedges,
+from conftest import (adjacency_sets, brute_all_pairs_dist,
+                      brute_common_neighbors, brute_components, brute_wedges,
                       random_graph_stream)
 
 
@@ -276,11 +277,22 @@ class TestBfs:
             bfs_levels(path_graph(2), 5)
 
     def test_matches_brute_force_bfs(self):
-        from conftest import brute_all_pairs_dist
-        for g in random_graph_stream(10, 40, seed=9):
+        # random graphs, then the same graphs with isolated vertices
+        # before and after them, so that some sources reach nothing
+        graphs = list(random_graph_stream(25, 40, seed=9))
+        graphs += [Graph.from_edges(g.edge_array() + lead, n=lead + g.n + tail)
+                   for g, lead, tail in zip(graphs, [1, 2, 3, 5, 8] * 5,
+                                            [4, 1, 2, 3, 1] * 5)]
+        for g in graphs:
             oracle = brute_all_pairs_dist(g)
             for s in range(g.n):
-                assert bfs_levels(g, s).dist.tolist() == oracle[s].tolist()
+                levels = bfs_levels(g, s)
+                row = oracle[s].tolist()
+                sizes = [row.count(d) for d in range(max(row) + 1)]
+                assert levels.dist.tolist() == row
+                assert levels.level_sizes.tolist() == sizes
+                assert levels.dist.dtype == np.int64
+                assert levels.level_sizes.dtype == np.int64
 
 
 class TestInducedSubgraph:
@@ -326,3 +338,13 @@ class TestComponents:
         comp = connected_components(g)
         assert len(set(comp.tolist())) == 3
         assert largest_component(g).n == 4
+
+    def test_labels_match_deque_oracle(self):
+        graphs = list(random_graph_stream(40, 40, seed=13))
+        graphs += [Graph.from_edges(g.edge_array() + 3, n=g.n + 5)
+                   for g in graphs[:10]]
+        graphs += [Graph.from_edges([], n=0), Graph.from_edges([], n=4)]
+        for g in graphs:
+            comp = connected_components(g)
+            assert comp.tolist() == brute_components(g)
+            assert comp.dtype == np.int64
