@@ -10,6 +10,8 @@ them to that.
 from __future__ import annotations
 
 import heapq
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +133,17 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be non-negative")
 
 
+@contextmanager
+def _recursion_as_value_error():
+    """A domain error, not a crash, when a clique of about a thousand
+    vertices outgrows the stack (the enumerators recurse per vertex)."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError("clique search exceeds the Python recursion limit "
+                         f"of {sys.getrecursionlimit()}") from None
+
+
 def enumerate_maximal_cliques_backtracking(
         g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueSet:
     """Per-vertex backtracking enumerator.
@@ -176,9 +189,10 @@ def enumerate_maximal_cliques_backtracking(
         for w in sorted(cand):
             run(start, w, new_history)
 
-    for start in range(g.n):
-        visited.clear()
-        run(start, start, frozenset())
+    with _recursion_as_value_error():
+        for start in range(g.n):
+            visited.clear()
+            run(start, start, frozenset())
 
     return CliqueSet(cliques=sorted(tuple(sorted(c)) for c in found))
 
@@ -205,7 +219,8 @@ def enumerate_maximal_cliques(g: Graph,
         if len(out) > budget:
             raise BudgetExceededError(budget, "maximal cliques")
 
-    _bron_kerbosch(g, emit)
+    with _recursion_as_value_error():
+        _bron_kerbosch(g, emit)
     return CliqueSet(cliques=sorted(out))
 
 
@@ -286,7 +301,8 @@ def enumerate_all_cliques(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET,
             grow(members, cand & out_adj[w])
             members.pop()
 
-    for v in range(g.n):
-        emit([v])
-        grow([v], out_adj[v])
+    with _recursion_as_value_error():
+        for v in range(g.n):
+            emit([v])
+            grow([v], out_adj[v])
     return count

@@ -8,6 +8,7 @@ safe to call concurrently once a graph is built.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import ParseError
 
 UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
-_ID_MIN, _ID_MAX = -2**63, 2**63 - 1  # vertex ids must fit in int64
 # wedge paths walked per block of the pair table: larger blocks cost
 # memory, smaller ones per-block NumPy overhead
 PAIR_BLOCK_PATHS = 1 << 18
@@ -190,40 +190,27 @@ class DegreeDistribution:
 class LoadStats:
     """Bookkeeping from parsing one edge-list file."""
 
-    raw_lines: int = 0        # data lines (comments and blanks excluded)
-    self_loops: int = 0
-    duplicates: int = 0
+    raw_lines: int        # data lines (comments and blanks excluded)
+    self_loops: int
+    duplicates: int
 
 
-def load_edge_list(source: str | bytes | IO, symmetrize: bool = True,
-                   allow_self_loops: bool = True,
-                   return_stats: bool = False):
+def load_edge_list(source: str | bytes | IO, return_stats: bool = False):
     """Parse a SNAP-style edge list into a Graph.
 
     Lines starting with ``#`` are comments; data lines hold two
-    whitespace-separated integer ids. Original ids are preserved in the
-    label map. Directed inputs are symmetrized; self-loops and duplicate
-    edges are dropped (counted in the stats).
+    whitespace-separated integer ids that fit in int64. Original ids are
+    preserved in the label map. Directed inputs are symmetrized;
+    self-loops and duplicate edges are dropped (counted in the stats).
 
-    ``symmetrize=False`` requires every edge to appear in both
-    orientations and raises ParseError otherwise. ``allow_self_loops=False``
-    makes a self-loop line a ParseError instead of a silent drop.
+    ``bytes`` is content; a ``str`` containing a newline is content; any
+    other ``str`` is a file path; anything else is iterated as lines.
     """
-    if isinstance(source, bytes):
-        lines: Iterable = source.splitlines()
-    elif isinstance(source, str):
-        if "\n" in source:
-            lines = source.splitlines()
-        else:
-            with open(source, "rb") as fh:
-                return load_edge_list(fh, symmetrize, allow_self_loops,
-                                      return_stats)
-    else:
-        lines = source
-
-    stats = LoadStats()
-    us: list[int] = []
-    vs: list[int] = []
+    if isinstance(source, str) and "\n" not in source:
+        with open(source, "rb") as fh:
+            return load_edge_list(fh, return_stats)
+    lines = source.splitlines() if isinstance(source, (bytes, str)) else source
+    ids = array("q")  # u0, v0, u1, v1, ...; rejects ids beyond int64
     for line_no, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
             try:
@@ -240,45 +227,21 @@ def load_edge_list(source: str | bytes | IO, symmetrize: bool = True,
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer vertex id in {line!r}", line_no) from None
-        if not (_ID_MIN <= u <= _ID_MAX and _ID_MIN <= v <= _ID_MAX):
-            raise ParseError(f"vertex id beyond int64 in {line!r}", line_no)
-        stats.raw_lines += 1
-        if u == v and not allow_self_loops:
-            raise ParseError(f"self-loop at vertex {u}", line_no)
-        us.append(u)
-        vs.append(v)
+        try:
+            ids.append(u)
+            ids.append(v)
+        except OverflowError:
+            raise ParseError(f"vertex id beyond int64 in {line!r}", line_no) from None
 
-    if us:
-        # every id that appears in the file is a vertex, even if all of
-        # its lines are self-loops (SNAP node counts include these)
-        raw = np.array([us, vs], dtype=np.int64).T
-        labels, dense = np.unique(raw, return_inverse=True)
-        dense = dense.reshape(raw.shape)
-    else:
-        labels = np.zeros(0, dtype=np.int64)
-        dense = np.zeros((0, 2), dtype=np.int64)
-
-    n = len(labels)
+    # every id that appears in the file is a vertex, even if all of its
+    # lines are self-loops (SNAP node counts include these)
+    labels, dense = np.unique(np.frombuffer(ids, np.int64), return_inverse=True)
+    dense = dense.reshape(-1, 2)
     loops = dense[:, 0] == dense[:, 1]
-    stats.self_loops = int(loops.sum())
-    dense = dense[~loops]
-    lo = np.minimum(dense[:, 0], dense[:, 1])
-    hi = np.maximum(dense[:, 0], dense[:, 1])
-    packed = lo * n + hi if n else lo
-    uniq = np.unique(packed)
-    stats.duplicates = len(packed) - len(uniq)
-    if not symmetrize:
-        # every undirected edge must have been listed in both orientations
-        fwd = np.unique(dense[:, 0] * n + dense[:, 1]) if n else packed
-        rev = np.unique(dense[:, 1] * n + dense[:, 0]) if n else packed
-        missing = np.setdiff1d(fwd, rev, assume_unique=True)
-        if missing.size:
-            u, v = divmod(int(missing[0]), n)
-            raise ParseError(
-                f"edge {labels[u]}->{labels[v]} lacks its reverse "
-                "(pass symmetrize=True for directed inputs)")
-    edges = np.column_stack([uniq // n, uniq % n]) if n else dense
-    g = Graph.from_edges(edges, n=n, labels=labels)
+    # from_edges is the one place that deduplicates and sorts
+    g = Graph.from_edges(dense[~loops], n=len(labels), labels=labels)
+    n_loops = int(loops.sum())
+    stats = LoadStats(len(dense), n_loops, len(dense) - n_loops - g.m)
     return (g, stats) if return_stats else g
 
 

@@ -10,6 +10,7 @@ vertices live outside every bucket and are reported separately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class PlbCheck:
 
 def _buckets(dd: DegreeDistribution, gamma: float,
              shift: float) -> tuple[list[BucketCheck], int]:
+    if not (math.isfinite(gamma) and math.isfinite(shift)):
+        raise ValueError("gamma and shift must be finite")
     if gamma <= 1:
         raise ValueError("power-law exponent gamma must exceed 1")
     if shift < 0:
@@ -71,6 +74,9 @@ def _buckets(dd: DegreeDistribution, gamma: float,
         mass = int(counts[lo:min(hi, d_max) + 1].sum())
         d = np.arange(lo, hi + 1, dtype=np.float64)
         bound_sum = float(((d + shift) ** -gamma).sum())
+        if bound_sum < sys.float_info.min:  # zero or subnormal
+            raise ValueError(f"power-law budget of degree bucket [{lo}, {hi}] "
+                             "underflows; lower gamma or shift")
         out.append(BucketCheck(r=r, lo=lo, hi=hi, mass=mass,
                                bound_sum=bound_sum,
                                ratio=mass / (dd.n * bound_sum)))

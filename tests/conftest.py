@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -156,6 +158,46 @@ def random_graph_stream(count: int, max_n: int, seed: int,
         mask = rng.random(len(iu[0])) < p
         yield Graph.from_edges(
             np.column_stack([iu[0][mask], iu[1][mask]]), n=n)
+
+
+def brute_load_edge_list(text: str):
+    """Labels, adjacency by label and (raw_lines, self_loops, duplicates)
+    of an edge-list text, parsed with str.split, a set and a dict."""
+    ids: set[int] = set()
+    edges: set[frozenset[int]] = set()
+    raw = loops = dups = 0
+    for line in text.splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        u, v = map(int, fields)
+        raw += 1
+        ids |= {u, v}
+        if u == v:
+            loops += 1
+        elif frozenset((u, v)) in edges:
+            dups += 1
+        else:
+            edges.add(frozenset((u, v)))
+    adj: dict[int, set[int]] = {x: set() for x in ids}
+    for u, v in map(tuple, edges):
+        adj[u].add(v)
+        adj[v].add(u)
+    return sorted(ids), adj, (raw, loops, dups)
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to ``frames`` above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # -- real datasets ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import netclass
+from netclass import cli
 from netclass.cli import main
-from netclass.generators import moon_moser
+from netclass.generators import complete_multipartite, moon_moser
+
+from conftest import recursion_headroom
 
 K4_TEXT = "# k4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -30,11 +34,15 @@ def moonmoser12_file(tmp_path):
     return str(f)
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0, out
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 class TestSubcommands:
@@ -122,6 +130,15 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == ("netclass: sample_pairs must be "
                                 "non-negative\n")
+
+    @pytest.mark.parametrize("text, n", [("0 1\n", 2), ("5 5\n", 1)])
+    def test_bct_without_finite_tau_emits_null(self, capsys, tmp_path,
+                                               text, n):
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        doc = run_json(capsys, ["bct", str(f)])
+        assert doc["level_average"] is None
+        assert doc["infinite_tau_sources"] == n
 
     def test_curve_embedded_and_file(self, capsys, k4_file, tmp_path):
         doc = run_json(capsys, ["curve", k4_file])
@@ -212,6 +229,61 @@ class TestContracts:
         assert doc["phases"]["cliques"] == {
             "status": "error", "reason": "budget must be non-negative"}
         assert doc["phases"]["closure"]["status"] == "ok"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "inf"], "gamma and shift must be finite"),
+        (["--gamma", "nan"], "gamma and shift must be finite"),
+        (["--shift", "inf"], "gamma and shift must be finite"),
+        (["--shift", "nan"], "gamma and shift must be finite"),
+        (["--gamma", "1e308"], "power-law budget of degree bucket [2, 4] "
+                               "underflows; lower gamma or shift"),
+        (["--gamma", "2", "--shift", "1e308"],
+         "power-law budget of degree bucket [1, 2] underflows; lower gamma "
+         "or shift"),
+    ])
+    def test_plb_domain_error_exit_1(self, capsys, k4_file, flags, message):
+        assert main(["plb", k4_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"netclass: {message}\n"
+        doc = run_json(capsys, ["report", k4_file, *flags])
+        assert doc["phases"]["plb"] == {"status": "error", "reason": message}
+        assert doc["phases"]["triangle"]["status"] == "ok"
+
+    @pytest.fixture
+    def deep_clique_file(self, tmp_path):
+        # 65 parts of two: maximal cliques of 65 vertices
+        g = complete_multipartite([2] * 65)
+        f = tmp_path / "cocktail.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in g.edge_array().tolist()))
+        return str(f)
+
+    @pytest.mark.parametrize("mode", [[], ["--max"], ["--count-all"],
+                                      ["--enumerate"]])
+    def test_deep_clique_recursion_exit_1(self, capsys, deep_clique_file,
+                                          mode):
+        with recursion_headroom(50):
+            code = main(["cliques", deep_clique_file, *mode])
+            limit = sys.getrecursionlimit()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("netclass: clique search exceeds the Python "
+                                f"recursion limit of {limit}\n")
+
+    def test_report_deep_clique_recursion(self, capsys, deep_clique_file):
+        with recursion_headroom(50):
+            doc = run_json(capsys, ["report", deep_clique_file])
+        assert doc["phases"]["cliques"]["status"] == "error"
+        assert "recursion limit" in doc["phases"]["cliques"]["reason"]
+        assert doc["phases"]["triangle"]["status"] == "ok"
+
+    def test_non_finite_float_exit_1(self, capsys, monkeypatch, k4_file):
+        monkeypatch.setattr(cli, "_cmd_triangle", lambda g, args: {"tau": math.inf})
+        assert main(["triangle", k4_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("netclass: Out of range float values")
 
     @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "-1", "0"])
     def test_report_budget_seconds_usage_error(self, capsys, k4_file, value):

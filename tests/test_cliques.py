@@ -18,7 +18,8 @@ from netclass.generators import (complete_graph, complete_multipartite,
 from netclass.graph import Graph
 
 from conftest import (adjacency_sets, brute_all_cliques,
-                      brute_maximal_cliques, random_graph_stream)
+                      brute_maximal_cliques, random_graph_stream,
+                      recursion_headroom)
 
 
 def as_sets(clique_set):
@@ -170,6 +171,20 @@ class TestNegativeBudget:
                                              budget=0)) == 0
         with pytest.raises(BudgetExceededError, match="budget of 0"):
             enumerate_maximal_cliques(complete_graph(1), budget=0)
+
+
+class TestDeepRecursion:
+    # each enumerator recurses about once per clique vertex, and the
+    # maximal cliques here have 130; a lowered limit stands in for a
+    # clique of about a thousand vertices
+    @pytest.mark.parametrize("enumerate_fn", [
+        enumerate_maximal_cliques, enumerate_maximal_cliques_backtracking,
+        enumerate_all_cliques, maximum_clique])
+    def test_recursion_error_becomes_value_error(self, enumerate_fn):
+        g = complete_multipartite([2] * 130)
+        with recursion_headroom(60):
+            with pytest.raises(ValueError, match="recursion limit of [0-9]+$"):
+                enumerate_fn(g)
 
 
 class TestEnumeratorAgreement:

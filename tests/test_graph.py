@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             load_edge_list, pair_table, wedge_count)
 
 from conftest import (adjacency_sets, brute_all_pairs_dist,
-                      brute_common_neighbors, brute_components, brute_wedges,
-                      random_graph_stream)
+                      brute_common_neighbors, brute_components,
+                      brute_load_edge_list, brute_wedges, random_graph_stream)
 
 
 class TestLoadEdgeList:
@@ -64,10 +65,6 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="line 3"):
             load_edge_list(str(f))
 
-    def test_self_loop_rejected_when_disallowed(self):
-        with pytest.raises(ParseError, match="self-loop"):
-            load_edge_list("3 3\n", allow_self_loops=False)
-
     def test_original_ids_preserved(self):
         g = load_edge_list("100 7\n7 42\n")
         assert sorted(g.labels.tolist()) == [7, 42, 100]
@@ -80,11 +77,6 @@ class TestLoadEdgeList:
         g = load_edge_list("5 5\n0 1\n")
         assert (g.n, g.m) == (3, 1)
 
-    def test_symmetrize_false_requires_both_orientations(self):
-        load_edge_list("0 1\n1 0\n", symmetrize=False)
-        with pytest.raises(ParseError, match="reverse"):
-            load_edge_list("0 1\n1 2\n2 1\n", symmetrize=False)
-
     def test_loading_from_file(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("# c\n1 2\n2 3\n")
@@ -94,6 +86,64 @@ class TestLoadEdgeList:
     def test_loaded_graphs_validate(self):
         for g in random_graph_stream(15, 30, seed=11):
             g.validate()
+
+
+class TestLoadEdgeListOracle:
+    BOUNDS = [-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]
+
+    @classmethod
+    def _random_text(cls, rng: random.Random) -> str:
+        pool = rng.sample(range(-40, 40), rng.randint(1, 12))
+        if rng.random() < 0.4:
+            pool += rng.sample(cls.BOUNDS, 2)
+        loop_only = rng.randint(100, 120)  # appears in self-loops only
+        lines = []
+        for _ in range(rng.randint(0, 40)):
+            r = rng.random()
+            if r < 0.08:
+                lines.append(rng.choice(["# comment", "#", "  # indented"]))
+            elif r < 0.16:
+                lines.append(rng.choice(["", " ", "\t", " \t  "]))
+            elif r < 0.22:
+                lines.append(f"{loop_only} {loop_only}")
+            else:
+                u, v = rng.choice(pool), rng.choice(pool)
+                sep = rng.choice([" ", "\t", "  "])
+                lines.append(f"{u}{sep}{v} ")
+                if rng.random() < 0.3:  # duplicate, either orientation
+                    lines.append(rng.choice([f"{v} {u}", f" {u}\t{v}"]))
+        eol = rng.choice(["\n", "\r\n"])
+        text = eol.join(lines)
+        return text + eol if lines and rng.random() < 0.5 else text
+
+    def test_matches_set_and_dict_oracle(self, tmp_path):
+        rng = random.Random(2014)
+        path = tmp_path / "g.txt"
+        for _ in range(150):
+            text = self._random_text(rng)
+            labels, adj, stats = brute_load_edge_list(text)
+            path.write_bytes(text.encode())
+            sources = [text.encode(), str(path)]
+            if "\n" in text:  # a str without a newline is a path
+                sources.append(text)
+            for source in sources:
+                g, got = load_edge_list(source, return_stats=True)
+                assert g.labels.tolist() == labels
+                assert g.labels.dtype == np.int64
+                assert (g.n, g.m) == (len(labels), sum(map(len, adj.values())) // 2)
+                assert {g.label_of(v): set(g.labels[g.neighbors(v)].tolist())
+                        for v in range(g.n)} == adj
+                assert (got.raw_lines, got.self_loops, got.duplicates) == stats
+                g.validate()
+
+    def test_bounds_self_loop_only_ids_and_line_endings(self):
+        text = (f"# ids at both ends of int64\r\n{2**63 - 1} {-2**63}\r\n"
+                f"\r\n{-2**63}\t{2**63 - 1}\r\n 7 7 \r\n  \t\r\n"
+                f"{2**63 - 1} 3")  # no final newline
+        g, stats = load_edge_list(text.encode(), return_stats=True)
+        assert g.labels.tolist() == [-2**63, 3, 7, 2**63 - 1]
+        assert g.m == 2 and g.degrees.tolist() == [1, 1, 0, 2]
+        assert (stats.raw_lines, stats.self_loops, stats.duplicates) == (4, 1, 1)
 
 
 class TestValidate:

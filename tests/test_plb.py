@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,33 @@ class TestPlbConstant:
             plb_constant(dd, gamma=2.0, shift=-0.5)
         with pytest.raises(ValueError):
             plb_constant(dd_from_counts([5]), gamma=2.0)
+
+    @pytest.mark.parametrize("gamma, shift", [
+        (math.inf, 0.0), (math.nan, 0.0), (2.0, math.inf), (2.0, math.nan)])
+    def test_non_finite_parameters_rejected(self, gamma, shift):
+        with pytest.raises(ValueError, match="^gamma and shift must be finite$"):
+            plb_constant(dd_from_counts([0, 4, 2]), gamma=gamma, shift=shift)
+        with pytest.raises(ValueError, match="finite"):
+            fit_gamma(dd_from_counts([0, 4, 2]), shift=shift,
+                      gammas=[gamma])
+
+    @pytest.mark.parametrize("gamma, shift, bucket", [
+        (1e308, 0.0, "[2, 4]"),       # 2^-gamma is 0
+        (1023.0, 0.0, "[2, 4]"),      # 2^-1023 is subnormal
+        (2.0, 1e308, "[1, 2]"),       # (1 + shift)^-2 is 0
+    ])
+    def test_underflowing_budget_rejected(self, gamma, shift, bucket):
+        dd = dd_from_counts([0, 4, 2, 1])
+        with pytest.raises(ValueError, match=re.escape(f"bucket {bucket} underflows")):
+            plb_constant(dd, gamma=gamma, shift=shift)
+        with pytest.raises(ValueError, match="underflows"):
+            is_plb(dd, gamma=gamma, c=1.0, shift=shift)
+
+    def test_smallest_normal_budget_accepted(self):
+        # 2^-1022 is the smallest normal float: the last gamma whose
+        # [2, 4] budget keeps full precision
+        fit = plb_constant(dd_from_counts([0, 4, 1]), gamma=1022.0)
+        assert all(math.isfinite(b.ratio) for b in fit.buckets)
 
 
 class TestIsPlb:
