@@ -15,11 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import signal
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+# NumPy's OpenBLAS starts a pool of worker threads when it loads, and
+# the idle pool costs a CLI run more CPU than netclass's few tiny BLAS
+# calls (polyfit, corrcoef) could gain from it. So the CLI asks for one
+# thread before NumPy loads; a value already set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .closure import (_open_pairs, _weak_closure_from_pairs,

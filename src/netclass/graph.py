@@ -20,6 +20,8 @@ UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
 # wedge paths walked per block of the pair table: larger blocks cost
 # memory, smaller ones per-block NumPy overhead
 PAIR_BLOCK_PATHS = 1 << 18
+# sources per bit-parallel BFS pass: one uint64 word per vertex
+BFS_BLOCK = 64
 
 
 def row_pointers(heads: np.ndarray, n: int) -> np.ndarray:
@@ -395,10 +397,16 @@ def _curve_from_table(g: Graph, table) -> ClosureRateCurve:
 
 @dataclass
 class BfsLevels:
-    """Distances from one source; UNREACHABLE (-1) marks other components."""
+    """Distances from one source, or from a block of sources.
 
-    source: int
-    dist: np.ndarray              # int array, -1 where unreachable
+    For one source, ``dist`` has shape (n,) and ``level_sizes`` (L,).
+    For a block, row i of ``dist`` (S, n) and of ``level_sizes`` (S, L)
+    belongs to ``source[i]``, and a row's sizes are zero past that
+    source's eccentricity. The accessors below read one-source results.
+    """
+
+    source: int | np.ndarray
+    dist: np.ndarray              # int64, -1 where unreachable
     level_sizes: np.ndarray       # level_sizes[l] = |{v : dist(source, v) = l}|
 
     def distance(self, v: int) -> int | float:
@@ -414,12 +422,17 @@ class BfsLevels:
         return int((self.dist >= 0).sum())
 
 
-def bfs_levels(g: Graph, source: int) -> BfsLevels:
-    """Level-synchronized BFS from a single source.
+def bfs_levels(g: Graph, source: int | np.ndarray) -> BfsLevels:
+    """Level-synchronized BFS from one source or a block of sources.
 
-    Each level is one ``_next_level`` step, which marks the frontier's
-    neighbors in a boolean array, so no level sorts.
+    An integer source takes one ``_next_level`` step per level, which
+    marks the frontier's neighbors in a boolean array, so no level
+    sorts. A 1-D array of 1 to ``BFS_BLOCK`` sources runs all of them in
+    one bit-parallel pass (``_bfs_block``); row i of its result equals
+    the integer call for ``source[i]``, level sizes zero-padded.
     """
+    if np.ndim(source) != 0:
+        return _bfs_block(g, np.asarray(source))
     g.check_vertex(source)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     unseen = np.ones(g.n, dtype=bool)
@@ -432,6 +445,51 @@ def bfs_levels(g: Graph, source: int) -> BfsLevels:
         frontier = _next_level(g, frontier, unseen)
     return BfsLevels(source=source, dist=dist,
                      level_sizes=np.array(sizes, dtype=np.int64))
+
+
+def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
+    """Bit-parallel BFS: bit i of vertex v's word stands for sources[i].
+
+    Each level is one pull step: every vertex ORs its neighbors'
+    frontier words, masked by the words it has already seen. The
+    ``reduceat`` runs over non-empty CSR rows only, since it would give
+    an empty row its successor's first word and fails past the last
+    slot. A level's bits are unpacked only at the vertices it reached.
+    """
+    if sources.ndim != 1 or not 1 <= sources.size <= BFS_BLOCK:
+        raise ValueError(f"a source block holds 1 to {BFS_BLOCK} sources, "
+                         f"got shape {sources.shape}")
+    if sources.dtype.kind not in "iu" or sources.min() < 0 \
+            or sources.max() >= g.n:
+        raise ValueError(f"invalid source in {sources.tolist()!r} for "
+                         f"graph with n={g.n}")
+    count = sources.size
+    frontier = np.zeros(g.n, dtype=np.uint64)
+    np.bitwise_or.at(frontier, sources,
+                     np.left_shift(np.uint64(1),
+                                   np.arange(count, dtype=np.uint64)))
+    seen = frontier.copy()
+    rows = np.flatnonzero(np.diff(g.indptr))
+    starts = g.indptr[rows]
+    # level + 1 where reached, else 0; int32 halves the per-level traffic
+    depth = np.zeros((g.n, count), dtype=np.int32)
+    sizes = []
+    reached = np.flatnonzero(frontier)
+    while reached.size and len(sizes) < g.n:  # a BFS has at most n levels
+        words = frontier[reached].astype("<u8").view(np.uint8)
+        bits = np.unpackbits(words.reshape(-1, 8), axis=1,
+                             bitorder="little")[:, :count]
+        sizes.append(bits.sum(axis=0, dtype=np.int64))
+        depth[reached] += bits * np.int32(len(sizes))
+        nxt = np.zeros(g.n, dtype=np.uint64)
+        nxt[rows] = np.bitwise_or.reduceat(frontier[g.indices], starts)
+        nxt &= ~seen
+        seen |= nxt
+        frontier = nxt
+        reached = np.flatnonzero(frontier)
+    return BfsLevels(source=sources,
+                     dist=np.subtract(depth.T, 1, dtype=np.int64, order="C"),
+                     level_sizes=np.stack(sizes, axis=1))
 
 
 def _next_level(g: Graph, frontier: np.ndarray,

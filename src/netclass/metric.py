@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConnectedError
-from .graph import Graph, bfs_levels, connected_components, row_pointers
+from .graph import (BFS_BLOCK, Graph, bfs_levels, connected_components,
+                    row_pointers)
 
 INF = math.inf
 _NO_PAIRS = np.zeros(0, dtype=np.int64)
@@ -63,25 +64,34 @@ def _first_level(sizes: np.ndarray, k: int) -> int | float:
 
 def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
            dst: np.ndarray = _NO_PAIRS):
-    """One BFS per source gives tau_s(k), ecc(s) and dist(src[i], dst[i]);
-    pairs are grouped by source to read each distance off its source's BFS.
+    """tau_s(k) and ecc(s) for every source s, and dist(src[i], dst[i]).
+
+    Sources run in blocks of ``BFS_BLOCK`` consecutive vertices, one
+    bit-parallel ``bfs_levels`` call each; pairs are grouped by source
+    to read each distance off its source's block.
     """
     taus = np.empty(g.n, dtype=np.float64)
     eccs = np.empty(g.n, dtype=np.int64)
     order = np.argsort(src, kind="stable")
     ptr = row_pointers(src[order], g.n)
     pair_dist = np.empty(src.size, dtype=np.int64)
-    for s in range(g.n):
-        levels = bfs_levels(g, s)
-        taus[s] = _first_level(levels.level_sizes, k)
-        eccs[s] = levels.eccentricity
-        mine = order[ptr[s]:ptr[s + 1]]
-        pair_dist[mine] = levels.dist[dst[mine]]
+    for lo in range(0, g.n, BFS_BLOCK):
+        hi = min(lo + BFS_BLOCK, g.n)
+        levels = bfs_levels(g, np.arange(lo, hi))
+        hits = levels.level_sizes >= k
+        hits[:, 0] = False  # tau counts from level 1
+        first = hits.argmax(axis=1)  # 0 where no level qualifies
+        taus[lo:hi] = np.where(first > 0, first, INF)
+        eccs[lo:hi] = levels.dist.max(axis=1)
+        mine = order[ptr[lo]:ptr[hi]]
+        pair_dist[mine] = levels.dist[src[mine] - lo, dst[mine]]
+        del levels  # free this block's rows before the next pass
     return taus, eccs, pair_dist
 
 
 def eccentricities(g: Graph) -> MetricProfile:
-    """Exact per-vertex eccentricities by one BFS per vertex."""
+    """Exact per-vertex eccentricities: every vertex is a BFS source, 64
+    sources to a bit-parallel pass."""
     _require_connected(g)
     ecc = _sweep(g, 1)[1]
     return MetricProfile(eccentricity=ecc, diameter=int(ecc.max()))
@@ -164,7 +174,7 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
 
     k* is ceil(sqrt(n)). Pair sampling uses the seeded generator
     recorded in the report; the pairs' distances come from the same
-    one-BFS-per-source sweep that gives tau and the eccentricities.
+    all-sources BFS sweep that gives tau and the eccentricities.
     """
     if sample_pairs < 0:
         raise ValueError("sample_pairs must be non-negative")

@@ -87,9 +87,17 @@ def _buckets(dd: DegreeDistribution, gamma: float,
 
 def plb_constant(dd: DegreeDistribution, gamma: float,
                  shift: float = 0.0) -> PlbFit:
-    """Smallest c for which every dyadic bucket satisfies its bound."""
+    """Smallest c for which every dyadic bucket satisfies its bound.
+
+    Each bucket's bound c * n * bound_sum must be a finite float: with c
+    near the float maximum it overflows though every budget is normal.
+    """
     buckets, isolated = _buckets(dd, gamma, shift)
     c = max(b.ratio for b in buckets)
+    for b in buckets:
+        if not math.isfinite(c * dd.n * b.bound_sum):
+            raise ValueError(f"power-law bound of degree bucket [{b.lo}, "
+                             f"{b.hi}] overflows; lower gamma or shift")
     return PlbFit(gamma=gamma, shift=shift, c_plb=c, buckets=buckets,
                   isolated=isolated)
 

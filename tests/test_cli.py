@@ -250,6 +250,22 @@ class TestContracts:
         assert doc["phases"]["plb"] == {"status": "error", "reason": message}
         assert doc["phases"]["triangle"]["status"] == "ok"
 
+    def test_plb_bound_overflow_exit_1(self, capsys, tmp_path):
+        # on a 6-vertex path at gamma 1022 every budget is a normal
+        # float, but c * n * bound_sum of bucket [1, 2] is not finite
+        f = tmp_path / "path6.txt"
+        f.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
+        message = ("power-law bound of degree bucket [1, 2] overflows; "
+                   "lower gamma or shift")
+        assert main(["plb", str(f), "--gamma", "1022"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"netclass: {message}\n"
+        doc = run_json(capsys, ["report", str(f), "--gamma", "1022"])
+        assert doc["phases"].pop("plb") == {"status": "error",
+                                            "reason": message}
+        assert {phase["status"] for phase in doc["phases"].values()} == {"ok"}
+
     @pytest.fixture
     def deep_clique_file(self, tmp_path):
         # 65 parts of two: maximal cliques of 65 vertices
@@ -324,6 +340,46 @@ class TestContracts:
             run = subprocess.run([sys.executable, "-c", code, *argv],
                                  env=env, capture_output=True, timeout=120)
             assert run.returncode == 0, (argv, run.stderr)
+
+    @staticmethod
+    def _python(code: str, **env_vars) -> str:
+        """Run ``python -c code`` on this checkout, OPENBLAS_NUM_THREADS
+        unset unless given; return its stdout."""
+        src = str(Path(netclass.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.update(env_vars)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    def test_cli_asks_for_one_blas_thread(self):
+        # the CLI sets the default before NumPy loads, so NumPy's BLAS
+        # starts no worker threads
+        code = ("import os, sys, netclass.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "'numpy' in sys.modules, "
+                "len(os.listdir('/proc/self/task')) "
+                "if os.path.isdir('/proc/self/task') else 1)")
+        assert self._python(code).split() == ["1", "True", "1"]
+
+    def test_cli_keeps_a_user_blas_setting(self):
+        code = ("import os, netclass.cli; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert self._python(code, OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+    def test_library_import_leaves_environment_alone(self):
+        # import netclass loads no NumPy; the submodules load it on
+        # first use and never touch os.environ
+        code = ("import os, sys, netclass; "
+                "print('numpy' in sys.modules); "
+                "g = netclass.Graph.from_edges([(0, 1)]); "
+                "print('numpy' in sys.modules, "
+                "'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert self._python(code).split() == ["False", "True", "False"]
 
     def test_no_module_imports_scipy(self):
         # NumPy is the only runtime dependency; SciPy stays a test oracle

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from netclass import graph as graph_module
 from netclass.errors import ParseError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
-                                 path_graph, petersen_graph, star_graph)
+                                 path_graph, petersen_graph, random_graph,
+                                 star_graph)
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             common_neighbors, connected_components,
                             jaccard_similarity, largest_component,
@@ -343,6 +344,65 @@ class TestBfs:
                 assert levels.level_sizes.tolist() == sizes
                 assert levels.dist.dtype == np.int64
                 assert levels.level_sizes.dtype == np.int64
+
+
+class TestBfsBlock:
+    """An array of sources runs in one bit-parallel pass; row i must
+    equal the one-source BFS from sources[i], level sizes zero-padded."""
+
+    @staticmethod
+    def assert_rows_match(g, sources):
+        block = bfs_levels(g, np.asarray(sources))
+        singles = [bfs_levels(g, int(s)) for s in sources]
+        width = max(one.level_sizes.size for one in singles)
+        assert block.dist.dtype == np.int64
+        assert block.level_sizes.dtype == np.int64
+        assert block.dist.shape == (len(sources), g.n)
+        assert block.level_sizes.shape == (len(sources), width)
+        for row, one in enumerate(singles):
+            sizes = one.level_sizes.tolist()
+            assert block.dist[row].tolist() == one.dist.tolist()
+            assert block.level_sizes[row].tolist() == \
+                sizes + [0] * (width - len(sizes))
+
+    def test_random_graphs_in_blocks_of_64(self):
+        for g in random_graph_stream(30, 150, seed=61):
+            for lo in range(0, g.n, 64):
+                self.assert_rows_match(g, list(range(lo, min(lo + 64, g.n))))
+
+    def test_isolated_vertices_around_the_edges(self):
+        # isolated vertices before, between and after two random
+        # graphs, so the CSR has empty rows at both ends and inside
+        rng = np.random.default_rng(67)
+        pieces = list(random_graph_stream(12, 40, seed=71, min_n=2))
+        for a, b in zip(pieces[::2], pieces[1::2]):
+            lead, gap, tail = (int(x) for x in rng.integers(1, 6, size=3))
+            edges = np.concatenate([a.edge_array() + lead,
+                                    b.edge_array() + lead + a.n + gap])
+            n = lead + a.n + gap + b.n + tail
+            g = Graph.from_edges(edges, n=n)
+            for size in (1, 63, 64):
+                sources = rng.choice(n, size=min(size, n), replace=False)
+                self.assert_rows_match(g, sources.tolist())
+
+    def test_single_vertex_and_edgeless(self):
+        self.assert_rows_match(Graph.from_edges([], n=1), [0])
+        self.assert_rows_match(Graph.from_edges([], n=5), [4, 0, 2])
+
+    @pytest.mark.parametrize("size", [1, 63, 64])
+    def test_block_sizes_and_unsorted_sources(self, size):
+        g = Graph.from_edges(random_graph(120, 0.05, seed=73).edge_array(),
+                             n=130)  # ten trailing isolated vertices
+        rng = np.random.default_rng(size)
+        self.assert_rows_match(g, rng.permutation(130)[:size].tolist())
+
+    @pytest.mark.parametrize("sources", [list(range(65)), [], [0, 130],
+                                         [-1], [[0, 1]], [0.0]])
+    def test_bad_blocks_rejected(self, sources):
+        g = Graph.from_edges(random_graph(130, 0.05, seed=79).edge_array(),
+                             n=130)
+        with pytest.raises(ValueError):
+            bfs_levels(g, np.asarray(sources))
 
 
 class TestInducedSubgraph:

@@ -226,22 +226,25 @@ class TestOneSweep:
         assert checked >= 60
 
     def test_one_bfs_per_source(self, monkeypatch):
+        # sources run in bit-parallel blocks: across the calls each
+        # source appears exactly once, and no call has more than 64
         calls = []
         real = metric_mod.bfs_levels
 
-        def counted(g, s):
-            calls.append(s)
-            return real(g, s)
+        def counted(g, sources):
+            calls.append(np.atleast_1d(sources).tolist())
+            return real(g, sources)
 
         monkeypatch.setattr(metric_mod, "bfs_levels", counted)
-        for g in random_graph_stream(10, 40, seed=193):
+        for g in random_graph_stream(10, 200, seed=193):
             g = largest_component(g)
-            calls.clear()
-            bct_properties_report(g, sample_pairs=5 * g.n + 10)
-            assert sorted(calls) == list(range(g.n))
-            calls.clear()
-            eccentricities(g)
-            assert sorted(calls) == list(range(g.n))
+            for run in (lambda: bct_properties_report(g, 5 * g.n + 10),
+                        lambda: eccentricities(g)):
+                calls.clear()
+                run()
+                assert sorted(s for call in calls for s in call) == \
+                    list(range(g.n))
+                assert max(map(len, calls)) <= 64
 
 
 class TestSpearman:

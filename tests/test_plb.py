@@ -101,6 +101,20 @@ class TestPlbConstant:
         fit = plb_constant(dd_from_counts([0, 4, 1]), gamma=1022.0)
         assert all(math.isfinite(b.ratio) for b in fit.buckets)
 
+    def test_overflowing_bound_rejected(self):
+        # a 6-vertex path at gamma 1022: every budget is a normal float,
+        # but c = 4 / (6 * 2^-1022) makes bucket [1, 2]'s bound
+        # c * n * bound_sum overflow to infinity
+        dd = dd_from_counts([0, 2, 4])
+        message = "power-law bound of degree bucket [1, 2] overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            plb_constant(dd, gamma=1022.0)
+        with pytest.raises(ValueError, match="overflows"):
+            fit_gamma(dd, gammas=[1022.0])
+        fit = plb_constant(dd, gamma=1021.0)
+        assert all(math.isfinite(fit.c_plb * dd.n * b.bound_sum)
+                   for b in fit.buckets)
+
 
 class TestIsPlb:
     def test_star_fails_modest_constant(self):
