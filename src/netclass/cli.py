@@ -29,14 +29,12 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .closure import (_open_pairs, _weak_closure_from_pairs,
-                      weak_closure_number)
+from .closure import weak_closure_number
 from .cliques import (DEFAULT_CLIQUE_BUDGET, enumerate_all_cliques,
                       enumerate_maximal_cliques, maximum_clique)
 from .datasets import MANIFEST, default_cache_dir, fetch_dataset
 from .errors import BudgetExceededError, DatasetError, ParseError
-from .graph import (Graph, _curve_from_table, closure_rate_curve,
-                    load_edge_list, pair_table)
+from .graph import Graph, closure_rate_curve, load_edge_list
 from .metric import bct_properties_report, eccentricities, two_sweep
 from .plb import fit_gamma, plb_constant, plb_diagnostics
 from .triangles import tightly_knit_decomposition, triangle_count_oriented
@@ -244,18 +242,8 @@ def _cmd_report(g: Graph, args) -> dict:
             phases[name] = {"status": "error", "reason": str(exc)}
         timings[name] = time.perf_counter() - start
 
-    # the closure and curve phases read one pair table, built by the
-    # first of them that gets that far and dropped after both ran
-    table = None
-
-    def shared_table():
-        nonlocal table
-        if table is None:
-            table = pair_table(g)
-        return table
-
     def closure_phase():
-        p = _weak_closure_from_pairs(g, _open_pairs(shared_table()))
+        p = weak_closure_number(g)
         return {"c": p.c_closure, "weak_c": p.weak_closure}
 
     def cliques_phase():
@@ -277,14 +265,13 @@ def _cmd_report(g: Graph, args) -> dict:
                 "component_n": h.n}
 
     def curve_phase():
-        curve = _curve_from_table(g, shared_table())
+        curve = closure_rate_curve(g)
         rates = {int(k): c / p for k, p, c in
                  zip(curve.ks[:5], curve.pair_counts[:5], curve.closed_counts[:5])}
         return {"edge_density": curve.edge_density, "first_rates": rates}
 
     run_phase("closure", closure_phase)
     run_phase("curve", curve_phase)
-    table = None
     run_phase("cliques", cliques_phase)
     run_phase("triangle", triangle_phase)
     run_phase("tkf", lambda: _cmd_tkf(g, args))

@@ -10,7 +10,9 @@ them to that.
 from __future__ import annotations
 
 import heapq
+import itertools
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -20,30 +22,71 @@ from .errors import BudgetExceededError
 from .graph import Graph, row_pointers
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
+# clique members held as Python ints before one bulk int32 conversion
+EMIT_CHUNK = 1 << 12
 
 
-@dataclass
 class CliqueSet:
     """Canonically ordered maximal cliques of one graph.
 
-    Each clique is an ascending vertex tuple; the list is sorted, so two
-    CliqueSets over the same graph compare equal regardless of emission
-    order.
+    Each clique is an ascending vertex tuple; ``cliques`` is the sorted
+    list of them, so two CliqueSets over the same graph compare equal
+    regardless of emission order. The enumerator stores its cliques
+    flat, one int32 array of members and one array of clique ends, so
+    the count and ``largest()`` build no tuples; ``cliques`` (and
+    iteration) builds them on first use.
     """
 
-    cliques: list[tuple[int, ...]]
+    __slots__ = ("_members", "_ends", "_cliques")
+
+    def __init__(self, cliques: list[tuple[int, ...]]):
+        self._cliques = cliques
+        self._members = np.fromiter(itertools.chain.from_iterable(cliques),
+                                    dtype=np.int32)
+        self._ends = np.cumsum([len(c) for c in cliques], dtype=np.int64)
+
+    @classmethod
+    def _from_flat(cls, members: array, ends: array) -> "CliqueSet":
+        """Cliques in any order: the members of clique i are
+        members[ends[i - 1]:ends[i]], ascending."""
+        self = cls.__new__(cls)
+        self._members = np.frombuffer(members, dtype=np.int32)
+        self._ends = np.frombuffer(ends, dtype=np.int64)
+        self._cliques = None
+        return self
+
+    @property
+    def cliques(self) -> list[tuple[int, ...]]:
+        if self._cliques is None:
+            members, ends = self._members.tolist(), self._ends.tolist()
+            self._cliques = sorted(tuple(members[a:b]) for a, b in
+                                   zip([0, *ends], ends))
+        return self._cliques
 
     def __len__(self) -> int:
-        return len(self.cliques)
+        return len(self._ends)
 
     def __iter__(self):
         return iter(self.cliques)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CliqueSet):
+            return NotImplemented
+        return self.cliques == other.cliques
+
+    def __repr__(self) -> str:
+        return f"CliqueSet(cliques={self.cliques!r})"
+
     def largest(self) -> tuple[int, ...]:
-        if not self.cliques:
+        """The smallest, as a sorted tuple, among the largest cliques."""
+        if not len(self):
             raise ValueError("maximum clique of the empty graph is undefined")
-        best_size = max(len(c) for c in self.cliques)
-        return min(c for c in self.cliques if len(c) == best_size)
+        sizes = np.diff(self._ends, prepend=0)
+        size = int(sizes.max())
+        starts = self._ends[sizes == size] - size
+        rows = self._members[starts[:, None] + np.arange(size)]
+        # lexsort's last key is its primary one
+        return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 @dataclass
@@ -212,16 +255,23 @@ def enumerate_maximal_cliques(g: Graph,
     emission order, and the clique at which the budget trips, are fixed.
     """
     _check_budget(budget)
-    out: list[tuple[int, ...]] = []
+    # members reach the int32 buffer through a list, converted a chunk
+    # at a time: array.extend converts item by item, far slower
+    members, ends, pending = array("i"), array("q"), []
 
     def emit(clique: tuple[int, ...]) -> None:
-        out.append(clique)
-        if len(out) > budget:
+        pending.extend(clique)
+        ends.append(len(members) + len(pending))
+        if len(ends) > budget:
             raise BudgetExceededError(budget, "maximal cliques")
+        if len(pending) >= EMIT_CHUNK:
+            members.extend(array("i", pending))
+            pending.clear()
 
     with _recursion_as_value_error():
         _bron_kerbosch(g, emit)
-    return CliqueSet(cliques=sorted(out))
+    members.extend(array("i", pending))
+    return CliqueSet._from_flat(members, ends)
 
 
 def _bron_kerbosch(g: Graph, emit) -> None:

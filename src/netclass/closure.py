@@ -6,10 +6,11 @@ The weak variant asks every induced subgraph for one vertex whose
 non-neighbors all share fewer than c neighbors with it; equivalently the
 graph admits a c-good elimination ordering.
 
-Both numbers read the non-adjacent rows of ``graph.pair_table``. The
-weak-closure greedy gives each vertex a CSR slice of its pairs and keeps
-one maximum per vertex, recomputed over that slice only when a pair
-holding it is retired or loses a common neighbor.
+Both numbers read the non-adjacent rows of ``graph._pair_blocks``: the
+c-closure folds them into a running maximum, and the weak-closure greedy
+keeps them compactly, gives each vertex a CSR slice of its pairs and
+keeps one maximum per vertex, recomputed over that slice only when a
+pair holding it is retired or loses a common neighbor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, pair_table, row_pointers
+from .graph import Graph, _pair_blocks, check_pair_memory
+
+# pair indices are int32 slots
+MAX_OPEN_PAIRS = int(np.iinfo(np.int32).max)
+# peak bytes per open pair while weak_closure_number builds its state
+OPEN_PAIR_BYTES = 26
 
 
 @dataclass
@@ -43,8 +49,10 @@ def c_closure_number(g: Graph) -> int:
     Equals 1 + max common-neighbor count over non-adjacent pairs, and 1
     when no non-adjacent pair has a common neighbor.
     """
-    _, _, count, adjacent = pair_table(g)
-    return int(count[~adjacent].max(initial=0)) + 1
+    best = 0
+    for _, count, adjacent in _pair_blocks(g):
+        best = max(best, int(count[~adjacent].max(initial=0)))
+    return best + 1
 
 
 def is_c_good(g: Graph, v: int, c: int) -> bool:
@@ -70,46 +78,24 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
     monotone non-increasing under vertex deletion, mirroring the
     min-degree argument for degeneracy.
 
-    The non-adjacent rows of ``pair_table`` are the only pair state.
-    Each vertex owns a CSR slice of its pair slots, so removing v
-    retires its pairs by reading that slice, and each surviving pair of
-    v's neighbors loses one common neighbor. A survivor's maximum is
-    recomputed over its slice only when a retired or decremented pair
-    held it; a lazy heap keyed by (requirement, vertex) picks the next
-    removal.
+    The open (non-adjacent) pairs are the only pair state: their sorted
+    int64 keys u * n + w, int32 counts and one int32 slot array over
+    both endpoints, 20 bytes a pair, and at most ``OPEN_PAIR_BYTES``
+    while it is built. Each vertex owns a CSR slice of the slots, so
+    removing v retires its pairs by reading that slice, and each
+    surviving pair of v's neighbors loses one common neighbor. A
+    survivor's maximum is recomputed over its slice only when a retired
+    or decremented pair held it; a lazy heap keyed by (requirement,
+    vertex) picks the next removal.
     """
-    # the full table is freed once _open_pairs returns, before the greedy
-    return _weak_closure_from_pairs(g, _open_pairs(pair_table(g)))
-
-
-def _open_pairs(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the non-adjacent rows (u, w, count) of a ``pair_table``."""
-    u, w, count, adjacent = table
-    return u[~adjacent], w[~adjacent], count[~adjacent]
-
-
-def _weak_closure_from_pairs(g: Graph, open_pairs) -> ClosureProfile:
-    """``weak_closure_number`` from the ``_open_pairs`` of g's pair table;
-    it updates their counts in place."""
+    check_pair_memory(g, OPEN_PAIR_BYTES)
     n = g.n
     if n == 0:
         return ClosureProfile(1, 1, (), ())
 
-    u, w, counts = open_pairs
+    keys, counts = _open_pairs(g)
     c_closure = int(counts.max(initial=0)) + 1
-    keys = u * n + w  # sorted, as the table is
-
-    # slots[ptr[v]:ptr[v + 1]] are the pairs with endpoint v; the other
-    # endpoint of pair s is u[s] + w[s] - v
-    heads = np.concatenate([u, w])
-    ptr = row_pointers(heads, n)
-    slots = np.argsort(heads)
-    slots %= max(counts.size, 1)
-    del heads
-
-    current_max = np.zeros(n, dtype=np.int64)
-    np.maximum.at(current_max, u, counts)
-    np.maximum.at(current_max, w, counts)
+    ptr, slots, current_max = _pair_slots(keys, counts, n)
 
     alive = np.ones(n, dtype=bool)
     heap: list[tuple[int, int]] = [(int(current_max[v]) + 1, v)
@@ -128,16 +114,20 @@ def _weak_closure_from_pairs(g: Graph, open_pairs) -> ClosureProfile:
         order_out.append(v)
         reqs_out.append(req)
 
-        # retire v's pairs (a retired pair's count is 0)
-        mine = slots[ptr[v]:ptr[v + 1]]
-        held = u[mine] + w[mine] - v
+        # retire v's pairs (a retired pair's count is 0); the slots are
+        # cast once here rather than by each of the three gathers
+        mine = slots[ptr[v]:ptr[v + 1]].astype(np.intp)
+        held, w = np.divmod(keys[mine], n)
+        held += w - v  # the other endpoint
         held = held[counts[mine] == current_max[held]]
         counts[mine] = 0
 
         # each surviving non-adjacent pair of v's neighbors loses one
         nbrs = g.neighbors(v)
         nbrs = nbrs[alive[nbrs]]
-        ii, jj = np.triu_indices(nbrs.size, k=1)
+        # the pairs i < j in row-major order, as triu_indices lists them
+        # (the row is ascending), at a fraction of its per-call cost
+        ii, jj = np.nonzero(np.less.outer(nbrs, nbrs))
         aa, bb = nbrs[ii], nbrs[jj]
         qk = aa * n + bb
         pos = np.searchsorted(keys, qk)
@@ -149,9 +139,10 @@ def _weak_closure_from_pairs(g: Graph, open_pairs) -> ClosureProfile:
 
         stale = np.unique(np.concatenate(
             [held, aa[old == current_max[aa]], bb[old == current_max[bb]]]))
-        # a vertex whose maximum a changed pair held looks over its slice
+        # a vertex whose maximum a changed pair held looks over its
+        # slice (take and a bare reduce cost less than [] and .max())
         for x in stale[alive[stale] & (current_max[stale] > 0)].tolist():
-            mx = int(counts[slots[ptr[x]:ptr[x + 1]]].max())
+            mx = int(np.maximum.reduce(counts.take(slots[ptr[x]:ptr[x + 1]])))
             if mx < current_max[x]:
                 current_max[x] = mx
                 heapq.heappush(heap, (mx + 1, x))
@@ -159,3 +150,58 @@ def _weak_closure_from_pairs(g: Graph, open_pairs) -> ClosureProfile:
     return ClosureProfile(c_closure=c_closure, weak_closure=max(reqs_out),
                           elimination_order=tuple(order_out),
                           per_vertex_requirement=tuple(reqs_out))
+
+
+def _open_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted int64 keys u * n + w and int32 counts of g's non-adjacent
+    pairs with a common neighbor, gathered from ``_pair_blocks``."""
+    key_blocks = [np.zeros(0, dtype=np.int64)]
+    count_blocks = [np.zeros(0, dtype=np.int32)]
+    total = 0
+    for keys, count, adjacent in _pair_blocks(g):
+        apart = ~adjacent
+        key_blocks.append(keys[apart])
+        count_blocks.append(count[apart])
+        total += key_blocks[-1].size
+        if total > MAX_OPEN_PAIRS:
+            raise ValueError(f"more than {MAX_OPEN_PAIRS} non-adjacent pairs "
+                             "share a neighbor, past the int32 slot range")
+    keys = np.concatenate(key_blocks)
+    del key_blocks
+    return keys, np.concatenate(count_blocks)
+
+
+def _pair_slots(keys: np.ndarray, counts: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of the open pairs at each endpoint, and each vertex's largest
+    count.
+
+    slots[ptr[v]:ptr[v + 1]] holds the int32 indices of the pairs with
+    endpoint v: first those with u = v, consecutive because the keys
+    are sorted, then those with w = v, in pair order from a stable
+    argsort of w. Each transient is freed before the next is allocated,
+    so at most ``OPEN_PAIR_BYTES`` a pair are live at once.
+    """
+    size = keys.size
+    current_max = np.zeros(n, dtype=np.int64)
+    ends = np.empty(size, dtype=np.int32)  # u, then w, of each pair
+    np.floor_divide(keys, n, out=ends, casting="unsafe")
+    np.maximum.at(current_max, ends, counts)
+    u_count = np.bincount(ends, minlength=n)
+    np.remainder(keys, n, out=ends, casting="unsafe")
+    np.maximum.at(current_max, ends, counts)
+    w_count = np.bincount(ends, minlength=n)
+    by_w = np.argsort(ends, kind="stable")
+    del ends
+    by_w = by_w.astype(np.int32)
+    runs = np.column_stack([u_count, w_count]).ravel()
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(u_count + w_count, out=ptr[1:])
+    # per vertex, its run of u-side slots, then its run of w-side slots
+    w_side = np.repeat(np.tile([False, True], n), runs)
+    slots = np.empty(2 * size, dtype=np.int32)
+    slots[w_side] = by_w
+    del by_w
+    np.logical_not(w_side, out=w_side)
+    slots[w_side] = np.arange(size, dtype=np.int32)
+    return ptr, slots, current_max

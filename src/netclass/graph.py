@@ -8,6 +8,7 @@ safe to call concurrently once a graph is built.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -17,9 +18,12 @@ import numpy as np
 from .errors import ParseError
 
 UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
-# wedge paths walked per block of the pair table: larger blocks cost
-# memory, smaller ones per-block NumPy overhead
-PAIR_BLOCK_PATHS = 1 << 18
+# wedge paths walked per block of pairs: larger blocks cost memory,
+# smaller ones per-block NumPy overhead
+PAIR_BLOCK_PATHS = 1 << 16
+# a pair_table row at its peak: int64 key, endpoints u and w split from
+# it, an int32 count and a bool flag
+PAIR_TABLE_BYTES = 29
 # sources per bit-parallel BFS pass: one uint64 word per vertex
 BFS_BLOCK = 64
 
@@ -290,34 +294,48 @@ def pair_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """Every pair u < w with at least one common neighbor, sorted by (u, w).
 
     Returns (u, w, count, adjacent): int64 endpoints, the int32
-    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag.
-
-    The counts come from walking the wedge paths u-v-w with w > u, so
-    only pairs joined by a wedge are touched. The walk goes in blocks of
-    consecutive u holding at most ``PAIR_BLOCK_PATHS`` paths (a vertex
-    with more paths is a block of its own), and each block's
-    ``np.unique`` over the keys u * n + w counts its pairs. Blocks cover
-    increasing u, so their concatenation is already sorted, and the
-    walk's memory is bounded by the block, not by the wedge count.
+    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag. It is
+    the concatenation of the ``_pair_blocks`` of g; the library's own
+    consumers fold those blocks instead of holding the table.
     """
-    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32))]
+    check_pair_memory(g, PAIR_TABLE_BYTES)
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
+               np.zeros(0, dtype=bool))]
     blocks += _pair_blocks(g)
-    keys = np.concatenate([k for k, _ in blocks])
-    count = np.concatenate([c for _, c in blocks])
+    keys, count, adjacent = (np.concatenate(col) for col in zip(*blocks))
     del blocks
-    edges = g.edge_array()
-    qk = edges[:, 0] * g.n + edges[:, 1]
-    pos = np.searchsorted(keys, qk)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == qk[hit]
-    adjacent = np.zeros(keys.size, dtype=bool)
-    adjacent[pos[hit]] = True
     u, w = np.divmod(keys, max(g.n, 1))
     return u, w, count, adjacent
 
 
+def check_pair_memory(g: Graph, bytes_per_pair: int) -> None:
+    """Refuse, before any wedge path is walked, pair state that could
+    outgrow physical memory: at most min(wedges, C(n, 2)) pairs share a
+    neighbor, at ``bytes_per_pair`` each."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf to ask
+        return
+    pairs = min(wedge_count(g), math.comb(g.n, 2))
+    if pairs * bytes_per_pair > have:
+        raise ValueError(
+            f"pair state for up to {pairs} vertex pairs at {bytes_per_pair} "
+            f"bytes each exceeds the {have} bytes of physical memory")
+
+
 def _pair_blocks(g: Graph):
-    """Sorted keys u * n + w and their path counts, one block of u at a time."""
+    """The pairs u < w joined by a wedge, one block of u at a time.
+
+    Yields (keys, count, adjacent) per block: the sorted keys u * n + w,
+    the int32 number of wedge paths u-v-w (the common-neighbor count)
+    and a bool adjacency flag. A block holds consecutive u with at most
+    ``PAIR_BLOCK_PATHS`` paths in all (a vertex with more paths is a
+    block of its own), and ``np.unique`` over its keys counts its
+    pairs. Blocks cover increasing u, so their concatenation is sorted,
+    and the walk's memory is bounded by the block, not by the wedge
+    count. A pair is adjacent when its key is an edge u < w of the
+    block's own CSR rows.
+    """
     n, indptr, indices = g.n, g.indptr, g.indices
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     # slot s holds u -> v and back[s] holds v -> u: the graph is
@@ -342,7 +360,13 @@ def _pair_blocks(g: Graph):
         keys = indices[pos]
         keys += np.repeat(heads[lo:hi] * n, reps)
         keys, count = np.unique(keys, return_counts=True)
-        yield keys, count.astype(np.int32)
+        # the block's edges u < w, sorted as the rows are
+        up = indices[lo:hi] > heads[lo:hi]
+        edges = heads[lo:hi][up] * n + indices[lo:hi][up]
+        at = np.searchsorted(edges, keys)
+        adjacent = at < edges.size
+        adjacent[adjacent] = edges[at[adjacent]] == keys[adjacent]
+        yield keys, count.astype(np.int32), adjacent
         a = b
 
 
@@ -375,18 +399,17 @@ def closure_rate_curve(g: Graph) -> ClosureRateCurve:
     """Figure-style closure curve: for each k >= 1, how many pairs have
     exactly k common neighbors and how many of those are adjacent.
 
-    Both counts are histograms over ``pair_table``, so only pairs with a
-    common neighbor are ever touched.
+    Both counts are histograms folded over ``_pair_blocks``, so only
+    pairs with a common neighbor are touched and no table is held. A
+    pair's count is at most the maximum degree, which sizes them.
     """
-    return _curve_from_table(g, pair_table(g))
-
-
-def _curve_from_table(g: Graph, table) -> ClosureRateCurve:
-    """``closure_rate_curve`` on a ``pair_table`` already built for g."""
     density = g.m / math.comb(g.n, 2) if g.n >= 2 else 0.0
-    _, _, count, adjacent = table
-    pair_hist = np.bincount(count)
-    closed_hist = np.bincount(count[adjacent], minlength=len(pair_hist))
+    size = int(g.degrees.max(initial=0)) + 1
+    pair_hist = np.zeros(size, dtype=np.int64)
+    closed_hist = np.zeros(size, dtype=np.int64)
+    for _, count, adjacent in _pair_blocks(g):
+        pair_hist += np.bincount(count, minlength=size)
+        closed_hist += np.bincount(count[adjacent], minlength=size)
     ks = np.nonzero(pair_hist)[0]
     return ClosureRateCurve(ks.astype(np.int64), pair_hist[ks],
                             closed_hist[ks], density)

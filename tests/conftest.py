@@ -111,6 +111,25 @@ def brute_weak_closure(g: Graph) -> int:
     return worst
 
 
+def brute_weak_closure_order(g: Graph) -> tuple[list[int], list[int]]:
+    """The weak-closure greedy on plain sets: remove, among the
+    survivors, the vertex whose requirement (1 + most common surviving
+    neighbors with a surviving non-neighbor) is least, ties to the
+    smallest index. Returns the removal order and the requirements."""
+    adj = adjacency_sets(g)
+    alive = set(range(g.n))
+    order, reqs = [], []
+    while alive:
+        req, v = min(
+            (1 + max((len(adj[v] & adj[u] & alive) for u in alive
+                      if u != v and u not in adj[v]), default=0), v)
+            for v in alive)
+        order.append(v)
+        reqs.append(req)
+        alive.remove(v)
+    return order, reqs
+
+
 def brute_all_pairs_dist(g: Graph) -> np.ndarray:
     """BFS from every vertex over plain adjacency sets; -1 = unreachable."""
     adj = adjacency_sets(g)
@@ -145,6 +164,15 @@ def brute_components(g: Graph) -> list[int]:
                     queue.append(w)
         count += 1
     return label
+
+
+def csr_star(leaves: int) -> Graph:
+    """K_{1,leaves} with the center at 0, built straight from CSR arrays
+    so that a star with millions of leaves costs only its two arrays."""
+    indptr = np.concatenate([[0], np.arange(leaves, 2 * leaves + 1)])
+    indices = np.concatenate([np.arange(1, leaves + 1),
+                              np.zeros(leaves, dtype=np.int64)])
+    return Graph(leaves + 1, indptr, indices)
 
 
 def random_graph_stream(count: int, max_n: int, seed: int,

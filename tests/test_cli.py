@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from netclass import cli
 from netclass.cli import main
 from netclass.generators import complete_multipartite, moon_moser
 
-from conftest import recursion_headroom
+from conftest import csr_star, recursion_headroom
 
 K4_TEXT = "# k4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -80,6 +81,22 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines() == ["10 20", "20 30"]
+
+    def test_cliques_enumerate_pinned_on_community(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # perfbench's community graph at seed 1, 68,840 maximal cliques;
+        # the digest was taken while cliques were still kept as tuples
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        f = tmp_path / "community.txt"
+        f.write_bytes(workloads.snap_text(workloads.generate("community", 1)))
+        assert main(["cliques", str(f), "--enumerate"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out.count(b"\n") == 68840
+        assert hashlib.sha256(out).hexdigest() == ("e0e237d87130bb0e6dc2526b5b"
+                                                   "eda53b70c4d04254048741e914"
+                                                   "c65a4a28623c")
 
     def test_tkf(self, capsys, k4_file):
         doc = run_json(capsys, ["tkf", k4_file])
@@ -394,24 +411,47 @@ class TestContracts:
                 assert not any(n == "scipy" or n.startswith("scipy.")
                                for n in names), (path.name, node.lineno)
 
-    def test_report_builds_one_pair_table(self, capsys, monkeypatch,
-                                          k4_file):
+    def test_report_phases_match_subcommands(self, capsys, monkeypatch,
+                                             moonmoser12_file):
+        # the closure and curve phases call the public functions the
+        # subcommands call, and nothing builds the whole pair table
         from netclass.graph import pair_table
-        calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return pair_table(g)
-        # patch every module that bound the name at import
+        def refuse(g):
+            raise AssertionError("pair_table was called")
         for name, module in list(sys.modules.items()):
             if name.startswith("netclass") and \
                     getattr(module, "pair_table", None) is pair_table:
-                monkeypatch.setattr(module, "pair_table", counted)
-        doc = run_json(capsys, ["report", k4_file])
-        assert calls == [4]
-        assert doc["phases"]["closure"] == {"status": "ok", "c": 1,
-                                            "weak_c": 1}
-        assert doc["phases"]["curve"]["status"] == "ok"
+                monkeypatch.setattr(module, "pair_table", refuse)
+        for argv in (["cliques"], ["triangle"], ["tkf"], ["plb"],
+                     ["diameter"], ["diameter", "--exact"], ["bct"]):
+            run_json(capsys, [*argv, moonmoser12_file])
+        phases = run_json(capsys, ["report", moonmoser12_file])["phases"]
+        closure = run_json(capsys, ["closure", moonmoser12_file])
+        curve = run_json(capsys, ["curve", moonmoser12_file])
+        assert phases["closure"] == {"status": "ok", "c": closure["c"],
+                                     "weak_c": closure["weak_c"]}
+        rows = [line.split(",") for line in curve["csv"].splitlines()[1:6]]
+        assert phases["curve"] == {
+            "status": "ok", "edge_density": curve["edge_density"],
+            "first_rates": {k: int(c) / int(p) for k, p, c, _ in rows}}
+
+    def test_closure_memory_guard_exit_1(self, capsys, monkeypatch,
+                                         k4_file):
+        # K_{1,10^6} as the loaded graph; its 5 * 10^11 pairs are refused
+        # before any block is walked
+        from netclass import closure, graph
+        star = csr_star(10 ** 6)
+        monkeypatch.setattr(cli, "load_edge_list", lambda path, return_stats:
+                            (star, graph.LoadStats(star.m, 0, 0)))
+
+        def no_walk(g):
+            raise AssertionError("a block was walked")
+        monkeypatch.setattr(closure, "_pair_blocks", no_walk)
+        assert main(["closure", k4_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("netclass: pair state for up to 499999500000 "
+                              "vertex pairs")
 
     @pytest.mark.parametrize("argv", [["diameter"], ["diameter", "--exact"],
                                       ["bct", "--largest-cc"]])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from netclass import cliques as cliques_module
 from netclass.cliques import (CliqueSet, _bron_kerbosch, degeneracy_ordering,
                               degree_orientation,
                               enumerate_all_cliques,
@@ -154,6 +155,57 @@ class TestWideNeighborhoods:
             seen = []
             _bron_kerbosch(g, seen.append)
             assert seen == reference_emission_order(g)
+
+
+    def test_budget_trips_at_the_same_clique(self, monkeypatch):
+        # the error comes as clique budget + 1 is emitted, not later
+        emitted = []
+
+        def counting(g, emit):
+            def counted(clique):
+                emitted.append(clique)
+                emit(clique)
+            bron_kerbosch(g, counted)
+        bron_kerbosch = cliques_module._bron_kerbosch
+        monkeypatch.setattr(cliques_module, "_bron_kerbosch", counting)
+        for g in random_graph_stream(15, 20, seed=131):
+            emitted.clear()
+            total = len(enumerate_maximal_cliques(g))
+            assert len(emitted) == total
+            for budget in {0, total // 2, total - 1}:
+                emitted.clear()
+                with pytest.raises(BudgetExceededError):
+                    enumerate_maximal_cliques(g, budget=budget)
+                assert len(emitted) == budget + 1
+
+
+class TestCliqueSet:
+    def test_built_from_a_list(self):
+        listed = [(0, 1), (1, 2, 3), (4,)]
+        cs = CliqueSet(cliques=listed)
+        assert cs.cliques == listed
+        assert list(cs) == listed
+        assert len(cs) == 3
+        assert cs == CliqueSet(cliques=list(listed))
+        assert cs != CliqueSet(cliques=listed[:2])
+        assert cs.largest() == (1, 2, 3)
+
+    def test_enumerated_set_equals_sorted_list(self):
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)], n=7)
+        expected = [(0, 1, 2), (2, 3), (4,), (5, 6)]
+        cs = enumerate_maximal_cliques(g)
+        assert cs == CliqueSet(cliques=expected)
+        assert cs.cliques == expected and list(cs) == expected
+        assert len(cs) == 4
+
+    def test_largest_is_smallest_among_the_largest(self):
+        for g in [*random_graph_stream(40, 14, seed=137), moon_moser(12),
+                  petersen_graph()]:
+            found = [tuple(sorted(c)) for c in brute_maximal_cliques(g)]
+            size = max(map(len, found))
+            expected = min(c for c in found if len(c) == size)
+            assert enumerate_maximal_cliques(g).largest() == expected
+            assert maximum_clique(g) == expected
 
 
 class TestNegativeBudget:

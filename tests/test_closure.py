@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from netclass import closure as closure_module
 from netclass.closure import c_closure_number, is_c_good, weak_closure_number
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
-                                 moon_moser, path_graph)
+                                 moon_moser, path_graph, star_graph)
 from netclass.graph import Graph
 
 from conftest import (adjacency_sets, brute_c_closure, brute_weak_closure,
-                      random_graph_stream)
+                      brute_weak_closure_order, csr_star, random_graph_stream)
 
 
 class TestCClosure:
@@ -98,6 +99,39 @@ class TestWeakClosure:
 
     def test_moon_moser_12_exhaustive(self):
         assert brute_weak_closure(moon_moser(12)) == 10
+
+
+    def test_order_matches_set_greedy(self):
+        for g in random_graph_stream(40, 30, seed=67):
+            p = weak_closure_number(g)
+            assert (list(p.elimination_order),
+                    list(p.per_vertex_requirement)) == \
+                brute_weak_closure_order(g)
+
+
+class TestPairStateLimits:
+    def test_csr_star_is_the_star(self):
+        small, built = csr_star(5), star_graph(5)
+        assert np.array_equal(small.indptr, built.indptr)
+        assert np.array_equal(small.indices, built.indices)
+
+    def test_memory_guard_refuses_before_walking(self, monkeypatch):
+        # K_{1,10^6} has 5 * 10^11 open leaf pairs sharing the center
+        def no_walk(g):
+            raise AssertionError("a block was walked")
+        monkeypatch.setattr(closure_module, "_pair_blocks", no_walk)
+        with pytest.raises(ValueError, match="^pair state for up to "
+                                             "499999500000 vertex pairs"):
+            weak_closure_number(csr_star(10 ** 6))
+
+    def test_open_pairs_past_slot_range(self, monkeypatch):
+        # the square has two open pairs; a range of one stands in for
+        # the 2^31 - 1 pairs an int32 slot can index
+        monkeypatch.setattr(closure_module, "MAX_OPEN_PAIRS", 1)
+        with pytest.raises(ValueError, match="past the int32 slot range$"):
+            weak_closure_number(cycle_graph(4))
+        monkeypatch.setattr(closure_module, "MAX_OPEN_PAIRS", 2)
+        assert weak_closure_number(cycle_graph(4)).weak_closure == 3
 
 
 class TestClosureProfileInvariants:

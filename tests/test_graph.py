@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netclass import graph as graph_module
+from netclass.closure import c_closure_number, weak_closure_number
 from netclass.errors import ParseError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, petersen_graph, random_graph,
@@ -18,8 +20,9 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             load_edge_list, pair_table, wedge_count)
 
 from conftest import (adjacency_sets, brute_all_pairs_dist,
-                      brute_common_neighbors, brute_components,
-                      brute_load_edge_list, brute_wedges, random_graph_stream)
+                      brute_c_closure, brute_common_neighbors,
+                      brute_components, brute_load_edge_list, brute_wedges,
+                      brute_weak_closure_order, csr_star, random_graph_stream)
 
 
 class TestLoadEdgeList:
@@ -263,10 +266,35 @@ class TestPairTable:
         graphs += random_graph_stream(20, 25, seed=43)
         for g in graphs:
             u, w, count, adjacent = pair_table(g)
+            rows = self._brute_rows(g)
             assert list(zip(u.tolist(), w.tolist(), count.tolist(),
-                            adjacent.tolist())) == self._brute_rows(g)
+                            adjacent.tolist())) == rows
             assert (u.dtype, w.dtype, count.dtype, adjacent.dtype) == \
                 (np.int64, np.int64, np.int32, np.bool_)
+            # the consumers that fold the blocks instead of the table
+            curve = closure_rate_curve(g)
+            hist = collections.Counter(k for _, _, k, _ in rows)
+            closed = collections.Counter(k for _, _, k, adj in rows if adj)
+            assert curve.ks.tolist() == sorted(hist)
+            assert curve.pair_counts.tolist() == [hist[k] for k in sorted(hist)]
+            assert curve.closed_counts.tolist() == \
+                [closed[k] for k in sorted(hist)]
+            assert c_closure_number(g) == brute_c_closure(g)
+            profile = weak_closure_number(g)
+            assert (list(profile.elimination_order),
+                    list(profile.per_vertex_requirement)) == \
+                brute_weak_closure_order(g)
+
+
+    def test_memory_guard_refuses_before_walking(self, monkeypatch):
+        # K_{1,10^6}: 5 * 10^11 leaf pairs share the center, terabytes of
+        # table; the guard refuses from the wedge count alone
+        def no_walk(g):
+            raise AssertionError("a block was walked")
+        monkeypatch.setattr(graph_module, "_pair_blocks", no_walk)
+        with pytest.raises(ValueError, match="exceeds the [0-9]+ bytes of "
+                                             "physical memory$"):
+            pair_table(csr_star(10 ** 6))
 
 
 class TestClosureRateCurve:
