@@ -10,7 +10,6 @@ them to that.
 from __future__ import annotations
 
 import heapq
-import itertools
 import sys
 from array import array
 from contextlib import contextmanager
@@ -41,8 +40,8 @@ class CliqueSet:
 
     def __init__(self, cliques: list[tuple[int, ...]]):
         self._cliques = cliques
-        self._members = np.fromiter(itertools.chain.from_iterable(cliques),
-                                    dtype=np.int32)
+        self._members = np.array([v for c in cliques for v in c],
+                                 dtype=np.int32)
         self._ends = np.cumsum([len(c) for c in cliques], dtype=np.int64)
 
     @classmethod
