@@ -8,6 +8,14 @@ ids; ``cliques --enumerate`` writes lines instead. Runs are deterministic
 for fixed inputs and seeds; wall-clock timings appear only with
 ``--timings``, so default output stays byte-identical across repeat runs.
 Exit codes: 0 success, 1 data/domain error, 2 usage error.
+
+Each run is its own process and loads only what its subcommand calls:
+importing this module loads no NumPy and no analysis module, so
+``--version`` never does. Library names resolve on first access
+through ``netclass``'s lazy name map and are kept on this module;
+handlers look them up here when they run (``_cli.two_sweep``), so a
+wrapper set on this module is the one called. The library calls no
+plain ``np.unique(x)``, which imports ``numpy.ma`` on NumPy 2.4.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # NumPy's OpenBLAS starts a pool of worker threads when it loads, and
 # the idle pool costs a CLI run more CPU than netclass's few tiny BLAS
@@ -28,21 +37,29 @@ from pathlib import Path
 # thread before NumPy loads; a value already set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import netclass
+
 from . import __version__
-from .closure import weak_closure_number
-from .cliques import (DEFAULT_CLIQUE_BUDGET, enumerate_all_cliques,
-                      enumerate_maximal_cliques, maximum_clique)
-from .datasets import MANIFEST, default_cache_dir, fetch_dataset
-from .errors import BudgetExceededError, DatasetError, ParseError
-from .graph import Graph, closure_rate_curve, load_edge_list
-from .metric import bct_properties_report, eccentricities, two_sweep
-from .plb import fit_gamma, plb_constant, plb_diagnostics
-from .triangles import tightly_knit_decomposition, triangle_count_oriented
+from .errors import (DEFAULT_CLIQUE_BUDGET, BudgetExceededError,
+                     DatasetError, ParseError)
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 SCHEMA_VERSION = 1
 # a phase budget must fit the interval timer; 1e9 s does wherever
 # time_t is 32 bits or wider
 MAX_BUDGET_SECONDS = 1e9
+# this module as handlers see it (``__main__`` under ``python -m``)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A public library name, loaded on first access and kept here."""
+    if name not in netclass._HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(netclass, name)
+    return value
 
 
 class _PhaseTimeout(Exception):
@@ -98,7 +115,7 @@ def _maybe_largest_cc(g: Graph, use_largest: bool) -> Graph:
 
 
 def _cmd_closure(g: Graph, args) -> dict:
-    profile = weak_closure_number(g)
+    profile = _cli.weak_closure_number(g)
     return {"n": g.n, "m": g.m, "c": profile.c_closure,
             "weak_c": profile.weak_closure}
 
@@ -106,29 +123,30 @@ def _cmd_closure(g: Graph, args) -> dict:
 def _cmd_cliques(g: Graph, args) -> dict | None:
     budget = args.budget
     if args.enumerate:
-        cliques = enumerate_maximal_cliques(g, budget=budget)
+        cliques = _cli.enumerate_maximal_cliques(g, budget=budget)
         lines = [" ".join(str(g.label_of(v)) for v in c) + "\n"
                  for c in cliques]
         _write("".join(lines), args.out)
         return None
     if args.max:
-        best = maximum_clique(g, budget=budget)
+        best = _cli.maximum_clique(g, budget=budget)
         return {"maximum_clique": sorted(g.label_of(v) for v in best),
                 "maximum_clique_size": len(best)}
     if args.count_all:
-        return {"all_cliques_count": enumerate_all_cliques(g, budget=budget)}
-    return {"maximal_clique_count": len(enumerate_maximal_cliques(
+        return {"all_cliques_count": _cli.enumerate_all_cliques(
+            g, budget=budget)}
+    return {"maximal_clique_count": len(_cli.enumerate_maximal_cliques(
         g, budget=budget))}
 
 
 def _cmd_triangle(g: Graph, args) -> dict:
-    res = triangle_count_oriented(g)
+    res = _cli.triangle_count_oriented(g)
     return {"t": res.triangle_count, "w": res.wedge_count,
             "tau": res.density, "oriented_pair_checks": res.operation_count}
 
 
 def _cmd_tkf(g: Graph, args) -> dict:
-    family = tightly_knit_decomposition(g, epsilon=args.epsilon)
+    family = _cli.tightly_knit_decomposition(g, epsilon=args.epsilon)
     clusters = []
     for members, cert in zip(family.clusters, family.certificates):
         clusters.append({
@@ -154,12 +172,12 @@ def _cmd_tkf(g: Graph, args) -> dict:
 def _cmd_plb(g: Graph, args) -> dict:
     dd = g.degree_distribution()
     if args.gamma is None:
-        chosen = fit_gamma(dd, shift=args.shift)
+        chosen = _cli.fit_gamma(dd, shift=args.shift)
         fit = chosen.fit
         fit_info = {"auto_gamma": True, "objective": chosen.objective,
                     "heuristic": True}
     else:
-        fit = plb_constant(dd, args.gamma, args.shift)
+        fit = _cli.plb_constant(dd, args.gamma, args.shift)
         fit_info = {"auto_gamma": False}
     buckets = [{
         "r": b.r, "lo": b.lo, "hi": b.hi, "mass": b.mass,
@@ -172,7 +190,7 @@ def _cmd_plb(g: Graph, args) -> dict:
     if args.tail_csv:
         lines = ["k,tail_mass,reference,ratio"]
         lines += [f"{p.k},{p.tail_mass},{p.reference:.10g},{p.ratio:.10g}"
-                  for p in plb_diagnostics(g, fit).tail]
+                  for p in _cli.plb_diagnostics(g, fit).tail]
         _write("\n".join(lines) + "\n", args.tail_csv)
         body["tail_csv"] = str(args.tail_csv)
     return body
@@ -181,11 +199,11 @@ def _cmd_plb(g: Graph, args) -> dict:
 def _cmd_diameter(g: Graph, args) -> dict:
     h = _maybe_largest_cc(g, args.largest_cc)
     if args.exact:
-        profile = eccentricities(h)
+        profile = _cli.eccentricities(h)
         return {"method": "exact", "diameter": profile.diameter,
                 "radius": int(profile.eccentricity.min()),
                 "component_n": h.n}
-    res = two_sweep(h)
+    res = _cli.two_sweep(h)
     return {"method": "two-sweep", "diameter_lower_bound": res.lower_bound,
             "endpoints": [int(h.labels[res.turn]), int(h.labels[res.far])],
             "component_n": h.n}
@@ -193,7 +211,7 @@ def _cmd_diameter(g: Graph, args) -> dict:
 
 def _cmd_bct(g: Graph, args) -> dict:
     h = _maybe_largest_cc(g, args.largest_cc)
-    rep = bct_properties_report(h, sample_pairs=args.samples,
+    rep = _cli.bct_properties_report(h, sample_pairs=args.samples,
                                 rng_seed=args.rng_seed)
     return {
         "component_n": h.n,
@@ -214,7 +232,7 @@ def _cmd_bct(g: Graph, args) -> dict:
 
 
 def _cmd_curve(g: Graph, args) -> dict:
-    curve = closure_rate_curve(g)
+    curve = _cli.closure_rate_curve(g)
     csv_text = curve.to_csv()
     if args.csv:
         _write(csv_text, args.csv)
@@ -243,29 +261,30 @@ def _cmd_report(g: Graph, args) -> dict:
         timings[name] = time.perf_counter() - start
 
     def closure_phase():
-        p = weak_closure_number(g)
+        p = _cli.weak_closure_number(g)
         return {"c": p.c_closure, "weak_c": p.weak_closure}
 
     def cliques_phase():
-        cliques = enumerate_maximal_cliques(g, budget=args.clique_budget)
+        cliques = _cli.enumerate_maximal_cliques(
+            g, budget=args.clique_budget)
         largest = cliques.largest()
         return {"maximal_clique_count": len(cliques),
                 "maximum_clique_size": len(largest)}
 
     def triangle_phase():
-        res = triangle_count_oriented(g)
+        res = _cli.triangle_count_oriented(g)
         return {"t": res.triangle_count, "w": res.wedge_count,
                 "tau": res.density}
 
     def diameter_phase():
         h = _maybe_largest_cc(g, True)
-        res = two_sweep(h)
+        res = _cli.two_sweep(h)
         return {"method": "two-sweep",
                 "diameter_lower_bound": res.lower_bound,
                 "component_n": h.n}
 
     def curve_phase():
-        curve = closure_rate_curve(g)
+        curve = _cli.closure_rate_curve(g)
         rates = {int(k): c / p for k, p, c in
                  zip(curve.ks[:5], curve.pair_counts[:5], curve.closed_counts[:5])}
         return {"edge_density": curve.edge_density, "first_rates": rates}
@@ -285,6 +304,7 @@ def _cmd_report(g: Graph, args) -> dict:
 
 
 def _cmd_fetch(args) -> dict:
+    from .datasets import fetch_dataset
     res = fetch_dataset(args.name, cache_dir=args.cache_dir)
     return {"name": res.name, "path": str(res.path),
             "from_cache": res.from_cache, "verified": res.verified,
@@ -296,6 +316,7 @@ def _cmd_fetch(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .datasets import MANIFEST, default_cache_dir
     parser = argparse.ArgumentParser(
         prog="netclass",
         description="Analyses for social-network graph classes: closure "
@@ -384,7 +405,7 @@ def main(argv=None) -> int:
         if args.command == "fetch":
             body = args.handler(args)
         else:
-            g, stats = load_edge_list(args.file, return_stats=True)
+            g, stats = _cli.load_edge_list(args.file, return_stats=True)
             doc["dataset"] = {
                 "path": str(args.file),
                 "raw_edge_lines": stats.raw_lines,

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_CLIQUE_BUDGET, BudgetExceededError
 from .graph import Graph, row_pointers
 
-DEFAULT_CLIQUE_BUDGET = 10_000_000
 # clique members held as Python ints before one bulk int32 conversion
 EMIT_CHUNK = 1 << 12
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pair_blocks, check_pair_memory
+from .graph import Graph, _pair_blocks, check_pair_memory, sorted_unique
 
 # pair indices are int32 slots
 MAX_OPEN_PAIRS = int(np.iinfo(np.int32).max)
@@ -137,7 +137,7 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
         old = counts[pos]
         counts[pos] = np.maximum(old - 1, 0)
 
-        stale = np.unique(np.concatenate(
+        stale = sorted_unique(np.concatenate(
             [held, aa[old == current_max[aa]], bb[old == current_max[bb]]]))
         # a vertex whose maximum a changed pair held looks over its
         # slice (take and a bare reduce cost less than [] and .max())

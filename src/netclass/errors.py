@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default clique
+budget, which the CLI's parser needs before NumPy loads."""
+
+# cliques an enumeration may emit before it raises BudgetExceededError
+DEFAULT_CLIQUE_BUDGET = 10_000_000
 
 
 class ParseError(ValueError):

@@ -35,6 +35,22 @@ def row_pointers(heads: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values, same dtype.
+
+    Sorts and keeps each value that differs from its predecessor. The
+    plain ``np.unique`` call imports ``numpy.ma`` (NumPy 2.4 checks
+    for a masked input), which every CLI run would then load.
+    """
+    out = np.sort(values, axis=None)
+    if out.size > 1:  # the greedy's stale sets are often this small
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 class Graph:
     """Undirected simple graph stored as sorted CSR neighbor lists.
 
@@ -81,7 +97,7 @@ class Graph:
         keep = lo != hi
         lo, hi = lo[keep], hi[keep]
         if lo.size:
-            packed = np.unique(lo * n + hi)
+            packed = sorted_unique(lo * n + hi)
             lo, hi = packed // n, packed % n
         heads = np.concatenate([lo, hi])
         tails = np.concatenate([hi, lo])
@@ -142,7 +158,7 @@ class Graph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertex set; labels compose."""
-        S = np.unique(np.asarray(list(vertices), dtype=np.int64))
+        S = sorted_unique(np.asarray(list(vertices), dtype=np.int64))
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex out of range in induced subgraph")
         keep = np.zeros(self.n, dtype=bool)
@@ -538,20 +554,36 @@ def _next_level(g: Graph, frontier: np.ndarray,
 
 
 def connected_components(g: Graph) -> np.ndarray:
-    """Component id per vertex (0-based, by discovery order)."""
-    comp = np.full(g.n, -1, dtype=np.int64)
-    unseen = np.ones(g.n, dtype=bool)
-    cid = 0
-    for s in range(g.n):
-        if not unseen[s]:
-            continue
-        frontier = np.array([s], dtype=np.int64)
-        while frontier.size:
-            unseen[frontier] = False
-            comp[frontier] = cid
-            frontier = _next_level(g, frontier, unseen)
-        cid += 1
-    return comp
+    """Component id per vertex, numbered by each component's smallest
+    vertex: the order in which a scan from vertex 0 discovers them.
+
+    Min-label hooking with shortcuts (Shiloach and Vishkin). Each vertex
+    first points at its smallest neighbor, if that is smaller. Then,
+    until no edge joins two trees, pointers jump until every vertex
+    points at its root, and every root that an edge joins to a smaller
+    root is hooked onto the smallest such root. Pointers only fall, so
+    each root ends as the smallest vertex of its component.
+    """
+    parent = np.arange(g.n, dtype=np.int64)
+    # rows are sorted, so a row's first slot holds its smallest neighbor
+    has = np.flatnonzero(g.degrees)
+    parent[has] = np.minimum(has, g.indices[g.indptr[has]])
+    # every CSR slot u -> v is an edge; a slot inside one tree is dropped
+    u, v = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees), g.indices
+    while True:
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        ru, rv = parent[u], parent[v]
+        live = np.flatnonzero(ru != rv)
+        if not live.size:
+            break
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+    roots = parent == np.arange(g.n)
+    return (np.cumsum(roots, dtype=np.int64) - 1)[parent]
 
 
 def largest_component(g: Graph) -> Graph:

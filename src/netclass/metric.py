@@ -178,6 +178,10 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
     """
     if sample_pairs < 0:
         raise ValueError("sample_pairs must be non-negative")
+    # checked here, not left to the generator, which is not built when
+    # no pair is sampled, and the report echoes the seed either way
+    if rng_seed < 0:
+        raise ValueError("rng_seed must be non-negative")
     _require_connected(g)
     n = g.n
     k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliques import degeneracy_ordering, degree_orientation
 from .graph import DegreeDistribution, Graph, wedge_count
 
 
@@ -193,6 +192,8 @@ def plb_diagnostics(g: Graph, fit: PlbFit) -> PlbDiagnostics:
         tail.append(TailPoint(k=k, tail_mass=mass,
                               reference=n * k ** (1.0 - gamma)))
         k *= 2
+    # imported here, so that fitting alone never loads the clique module
+    from .cliques import degeneracy_ordering, degree_orientation
     w = wedge_count(g)
     alpha = degeneracy_ordering(g).degeneracy
     dplus = degree_orientation(g).out_degrees.astype(np.int64)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -140,6 +141,23 @@ class TestSubcommands:
                                 "--rng-seed", "9"])
         assert doc["rng_seed"] == 9
         assert doc["property1_fraction"] == 1.0
+
+    @pytest.mark.parametrize("argv", [["--rng-seed", "-1"],
+                                      ["--samples", "0", "--rng-seed", "-1"]])
+    def test_bct_negative_seed_exit_1(self, capsys, k4_file, argv):
+        # refused whether or not any pair is sampled
+        assert main(["bct", *argv, k4_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "netclass: rng_seed must be non-negative\n"
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 + 5])
+    @pytest.mark.parametrize("samples", ["0", "50"])
+    def test_bct_seed_range_accepted(self, capsys, k4_file, seed, samples):
+        doc = run_json(capsys, ["bct", "--samples", samples, "--rng-seed",
+                                str(seed), k4_file])
+        assert doc["rng_seed"] == seed
+        assert doc["sampled_pairs"] == int(samples)
 
     def test_bct_negative_samples_exit_1(self, capsys, k4_file):
         assert main(["bct", k4_file, "--samples", "-5", "--largest-cc"]) == 1
@@ -359,29 +377,35 @@ class TestContracts:
             assert run.returncode == 0, (argv, run.stderr)
 
     @staticmethod
-    def _python(code: str, **env_vars) -> str:
-        """Run ``python -c code`` on this checkout, OPENBLAS_NUM_THREADS
-        unset unless given; return its stdout."""
+    def _python(code: str, *args: str, **env_vars) -> str:
+        """Run ``python -c code *args`` on this checkout,
+        OPENBLAS_NUM_THREADS unset unless given; return its stdout."""
         src = str(Path(netclass.__file__).resolve().parents[1])
         env = dict(os.environ)
         env.pop("OPENBLAS_NUM_THREADS", None)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         env.update(env_vars)
-        run = subprocess.run([sys.executable, "-c", code], env=env,
+        run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         return run.stdout
 
-    def test_cli_asks_for_one_blas_thread(self):
-        # the CLI sets the default before NumPy loads, so NumPy's BLAS
-        # starts no worker threads
+    def test_cli_asks_for_one_blas_thread(self, k4_file):
+        # importing the CLI loads no NumPy; a subcommand loads it after
+        # the CLI set the default, so NumPy's BLAS starts no worker
+        # threads
         code = ("import os, sys, netclass.cli; "
+                "print('numpy' in sys.modules); "
+                "netclass.cli.main(['triangle', sys.argv[1]]); "
                 "print(os.environ['OPENBLAS_NUM_THREADS'], "
                 "'numpy' in sys.modules, "
                 "len(os.listdir('/proc/self/task')) "
                 "if os.path.isdir('/proc/self/task') else 1)")
-        assert self._python(code).split() == ["1", "True", "1"]
+        lines = self._python(code, k4_file).splitlines()
+        assert lines[0] == "False"
+        assert json.loads("".join(lines[1:-1]))["t"] == 4
+        assert lines[-1].split() == ["1", "True", "1"]
 
     def test_cli_keeps_a_user_blas_setting(self):
         code = ("import os, netclass.cli; "
@@ -464,3 +488,93 @@ class TestContracts:
         doc = run_json(capsys, ["report", str(f)])
         assert doc["phases"]["diameter"] == {
             "status": "error", "reason": "the graph has no vertices"}
+
+
+# the netclass modules a run loads beyond the front end (the package,
+# cli, errors, and datasets for the parser's fetch choices)
+FRONT_END = {"netclass", "netclass.cli", "netclass.errors",
+             "netclass.datasets"}
+SUBCOMMAND_MODULES = [
+    (["closure"], {"graph", "closure"}),
+    (["cliques"], {"graph", "cliques"}),
+    (["triangle"], {"graph", "cliques", "triangles"}),
+    (["tkf"], {"graph", "cliques", "triangles"}),
+    (["plb"], {"graph", "plb"}),
+    (["diameter", "--largest-cc"], {"graph", "metric"}),
+    (["curve"], {"graph"}),
+    (["diameter", "--exact", "--largest-cc"], {"graph", "metric"}),
+    (["bct", "--largest-cc"], {"graph", "metric"}),
+]
+# the names perfbench's traced run wraps on netclass.cli, each with a
+# subcommand that calls it and the module it comes from
+TRACED_CLI_CALLS = [
+    ("load_edge_list", ["closure"], "graph"),
+    ("weak_closure_number", ["closure"], "closure"),
+    ("enumerate_maximal_cliques", ["cliques"], "cliques"),
+    ("triangle_count_oriented", ["triangle"], "triangles"),
+    ("tightly_knit_decomposition", ["tkf"], "triangles"),
+    ("fit_gamma", ["plb"], "plb"),
+    ("two_sweep", ["diameter"], "metric"),
+    ("eccentricities", ["diameter", "--exact"], "metric"),
+    ("bct_properties_report", ["bct"], "metric"),
+    ("closure_rate_curve", ["curve"], "graph"),
+]
+
+
+class TestStartUp:
+    """A run loads the modules its subcommand calls and no others."""
+
+    # runs main on each file given after '--', then prints the loaded
+    # modules as the last stdout line
+    CODE = ("import json, sys, netclass.cli; "
+            "cut = sys.argv.index('--'); "
+            "codes = [netclass.cli.main([*sys.argv[1:cut], f]) "
+            "for f in sys.argv[cut + 1:]]; "
+            "print(json.dumps([codes, sorted(sys.modules)]))")
+
+    @staticmethod
+    def _loaded(code: str, *args: str) -> tuple[list, set]:
+        out = TestContracts._python(code, *args)
+        codes, modules = json.loads(out.splitlines()[-1])
+        return codes, set(modules)
+
+    @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                             ids=[" ".join(a) for a, _ in SUBCOMMAND_MODULES])
+    def test_subcommand_loads_its_modules(self, k4_file, moonmoser12_file,
+                                          argv, modules):
+        codes, loaded = self._loaded(self.CODE, *argv, "--", k4_file,
+                                     moonmoser12_file)
+        assert codes == [0, 0]
+        assert {m for m in loaded if m.startswith("netclass")} == \
+            FRONT_END | {f"netclass.{m}" for m in modules}
+        assert "numpy" in loaded
+        assert "numpy.ma" not in loaded
+
+    def test_version_loads_no_numpy(self):
+        code = ("import json, sys, netclass.cli\n"
+                "try:\n"
+                "    netclass.cli.main(['--version'])\n"
+                "except SystemExit as exc:\n"
+                "    print(json.dumps([[exc.code], sorted(sys.modules)]))\n")
+        codes, loaded = self._loaded(code)
+        assert codes == [0]
+        assert "numpy" not in loaded
+        assert "netclass.graph" not in loaded
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert not hasattr(cli, "no_such_function")
+
+    @pytest.mark.parametrize("name, argv, home", TRACED_CLI_CALLS,
+                             ids=[name for name, _, _ in TRACED_CLI_CALLS])
+    def test_wrapper_on_cli_is_called(self, capsys, monkeypatch, k4_file,
+                                      name, argv, home):
+        function = getattr(importlib.import_module(f"netclass.{home}"), name)
+        assert getattr(cli, name) is function
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+        run_json(capsys, [*argv, k4_file])
+        assert calls == [name]

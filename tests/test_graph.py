@@ -17,7 +17,8 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             common_neighbors, connected_components,
                             jaccard_similarity, largest_component,
-                            load_edge_list, pair_table, wedge_count)
+                            load_edge_list, pair_table, sorted_unique,
+                            wedge_count)
 
 from conftest import (adjacency_sets, brute_all_pairs_dist,
                       brute_c_closure, brute_common_neighbors,
@@ -165,6 +166,26 @@ class TestValidate:
     def test_broken_graph_rejected(self, rows, message):
         with pytest.raises(AssertionError, match=message):
             self._graph(rows).validate()
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("values", [
+        [], [7], [3, 3, 3, 3], [-5, 2, -5, -(2 ** 62), 0, 2, -1],
+    ], ids=["empty", "singleton", "all-equal", "negative"])
+    def test_equals_np_unique(self, values):
+        x = np.array(values, dtype=np.int64)
+        out = sorted_unique(x)
+        assert out.dtype == np.unique(x).dtype == np.int64
+        assert out.tolist() == np.unique(x).tolist()
+        assert x.tolist() == values  # the input is left as it was
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(17)
+        for size in (1, 2, 50, 10_000):
+            for high in (3, 1000, 2 ** 40):
+                x = rng.integers(-high, high, size=size)
+                assert np.array_equal(sorted_unique(x), np.unique(x))
+                assert sorted_unique(x).dtype == np.unique(x).dtype
 
 
 class TestCommonNeighbors:
@@ -482,7 +503,16 @@ class TestComponents:
         graphs += [Graph.from_edges(g.edge_array() + 3, n=g.n + 5)
                    for g in graphs[:10]]
         graphs += [Graph.from_edges([], n=0), Graph.from_edges([], n=4)]
+        # a long path under a random vertex order takes many hooking
+        # rounds; a sparse random graph has many components of all sizes
+        rng = np.random.default_rng(29)
+        perm = rng.permutation(5000)
+        graphs.append(Graph.from_edges(perm[path_graph(5000).edge_array()],
+                                       n=5000))
+        graphs.append(Graph.from_edges(rng.integers(0, 4000, size=(1800, 2)),
+                                       n=4000))
         for g in graphs:
             comp = connected_components(g)
             assert comp.tolist() == brute_components(g)
             assert comp.dtype == np.int64
+        assert connected_components(graphs[-1]).max() >= 2000
