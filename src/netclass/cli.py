@@ -316,7 +316,6 @@ def _cmd_fetch(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .datasets import MANIFEST, default_cache_dir
     parser = argparse.ArgumentParser(
         prog="netclass",
         description="Analyses for social-network graph classes: closure "
@@ -391,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(tail_csv=None)  # the plb phase runs the plb handler
 
     p = add("fetch", _cmd_fetch, "download and cache a known dataset")
-    p.add_argument("name", choices=sorted(MANIFEST))
+    p.add_argument("name", help="a dataset name from the bundled manifest")
     p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help=f"cache directory (default {default_cache_dir()})")
+                   help="cache directory (default $NETCLASS_CACHE, else "
+                        "~/.cache/netclass)")
 
     return parser
 

@@ -157,8 +157,7 @@ def degeneracy_ordering(g: Graph) -> OrientedGraph:
 def degree_orientation(g: Graph) -> OrientedGraph:
     """Each edge directed from the lower-degree endpoint to the higher,
     ties broken lexicographically by index."""
-    degs = g.degrees
-    order = np.lexsort((np.arange(g.n), degs))
+    order = np.argsort(g.degrees, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
     indptr, indices = _orient_by_rank(g, rank)

@@ -16,11 +16,13 @@ pair holding it is retired or loses a common neighbor.
 from __future__ import annotations
 
 import heapq
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pair_blocks, check_pair_memory, sorted_unique
+from .graph import Graph, _pair_blocks, sorted_unique, wedge_count
 
 # pair indices are int32 slots
 MAX_OPEN_PAIRS = int(np.iinfo(np.int32).max)
@@ -88,7 +90,7 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
     or decremented pair held it; a lazy heap keyed by (requirement,
     vertex) picks the next removal.
     """
-    check_pair_memory(g, OPEN_PAIR_BYTES)
+    _guard_pair_memory(g)
     n = g.n
     if n == 0:
         return ClosureProfile(1, 1, (), ())
@@ -150,6 +152,21 @@ def weak_closure_number(g: Graph) -> ClosureProfile:
     return ClosureProfile(c_closure=c_closure, weak_closure=max(reqs_out),
                           elimination_order=tuple(order_out),
                           per_vertex_requirement=tuple(reqs_out))
+
+
+def _guard_pair_memory(g: Graph) -> None:
+    """Refuse, before any wedge path is walked, pair state that could
+    outgrow physical memory: at most min(wedges, C(n, 2)) pairs share a
+    neighbor, at ``OPEN_PAIR_BYTES`` each."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf to ask
+        return
+    pairs = min(wedge_count(g), math.comb(g.n, 2))
+    if pairs * OPEN_PAIR_BYTES > have:
+        raise ValueError(
+            f"pair state for up to {pairs} vertex pairs at {OPEN_PAIR_BYTES} "
+            f"bytes each exceeds the {have} bytes of physical memory")
 
 
 def _open_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,9 @@ import gzip
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DatasetError
-
-if TYPE_CHECKING:
-    from .graph import Graph, LoadStats
+from .graph import Graph, LoadStats, load_edge_list
 
 SNAP_BASE = "https://snap.stanford.edu/data"
 
@@ -103,8 +100,6 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
         tmp.write_bytes(payload)
         tmp.replace(path)
 
-    # here, not at import: the CLI's parser reads MANIFEST without NumPy
-    from .graph import load_edge_list
     g, stats = load_edge_list(str(path), return_stats=True)
     ok, note = _verify(name, entry, g, stats)
     marker = path.with_name(path.name + ".unverified")

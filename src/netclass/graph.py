@@ -8,7 +8,6 @@ safe to call concurrently once a graph is built.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -21,9 +20,6 @@ UNREACHABLE = -1  # BFS distance sentinel for vertices in other components
 # wedge paths walked per block of pairs: larger blocks cost memory,
 # smaller ones per-block NumPy overhead
 PAIR_BLOCK_PATHS = 1 << 16
-# a pair_table row at its peak: int64 key, endpoints u and w split from
-# it, an int32 count and a bool flag
-PAIR_TABLE_BYTES = 29
 # sources per bit-parallel BFS pass: one uint64 word per vertex
 BFS_BLOCK = 64
 
@@ -95,15 +91,16 @@ class Graph:
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
         keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        if lo.size:
-            packed = sorted_unique(lo * n + hi)
-            lo, hi = packed // n, packed % n
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-        return cls(n, row_pointers(heads, n), tails.astype(np.int64), labels)
+        packed = sorted_unique(lo[keep] * n + hi[keep])
+        del lo, hi
+        # each edge u < w is the slots u -> w and w -> u; one sort of
+        # their keys head * n + tail puts them in CSR order
+        u, w = np.divmod(packed, n)
+        keys = np.concatenate([packed, w * n + u])
+        del packed, u, w
+        keys.sort()
+        heads, tails = np.divmod(keys, n)
+        return cls(n, row_pointers(heads, n), tails, labels)
 
     # -- primitive queries -------------------------------------------
 
@@ -302,41 +299,7 @@ def wedge_count(g: Graph) -> int:
     return int((d * (d - 1) // 2).sum())
 
 
-# -- pair table and closure-rate curve ---------------------------------
-
-
-def pair_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-    """Every pair u < w with at least one common neighbor, sorted by (u, w).
-
-    Returns (u, w, count, adjacent): int64 endpoints, the int32
-    common-neighbor count |N(u) ∩ N(w)| and a bool adjacency flag. It is
-    the concatenation of the ``_pair_blocks`` of g; the library's own
-    consumers fold those blocks instead of holding the table.
-    """
-    check_pair_memory(g, PAIR_TABLE_BYTES)
-    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
-               np.zeros(0, dtype=bool))]
-    blocks += _pair_blocks(g)
-    keys, count, adjacent = (np.concatenate(col) for col in zip(*blocks))
-    del blocks
-    u, w = np.divmod(keys, max(g.n, 1))
-    return u, w, count, adjacent
-
-
-def check_pair_memory(g: Graph, bytes_per_pair: int) -> None:
-    """Refuse, before any wedge path is walked, pair state that could
-    outgrow physical memory: at most min(wedges, C(n, 2)) pairs share a
-    neighbor, at ``bytes_per_pair`` each."""
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf to ask
-        return
-    pairs = min(wedge_count(g), math.comb(g.n, 2))
-    if pairs * bytes_per_pair > have:
-        raise ValueError(
-            f"pair state for up to {pairs} vertex pairs at {bytes_per_pair} "
-            f"bytes each exceeds the {have} bytes of physical memory")
+# -- pair blocks and closure-rate curve --------------------------------
 
 
 def _pair_blocks(g: Graph):

@@ -40,10 +40,9 @@ class PlbFit:
     buckets: list[BucketCheck]
     isolated: int          # degree-0 vertices, excluded from buckets
 
-    def slacks(self, c: float | None = None) -> list[float]:
-        """Per-bucket mass as a fraction of the budget at constant c."""
-        c = self.c_plb if c is None else c
-        return [b.ratio / c for b in self.buckets]
+    def slacks(self) -> list[float]:
+        """Per-bucket mass as a fraction of the budget at constant c_plb."""
+        return [b.ratio / self.c_plb for b in self.buckets]
 
 
 @dataclass

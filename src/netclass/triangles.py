@@ -374,14 +374,13 @@ class FamilyVerification:
     recomputed_capture: float
 
 
-def verify_tightly_knit(g: Graph, family: TightlyKnitFamily,
-                        rho_floor: float | None = None) -> FamilyVerification:
+def verify_tightly_knit(g: Graph,
+                        family: TightlyKnitFamily) -> FamilyVerification:
     """Re-derive every certificate of a family from scratch.
 
     Checks disjointness, radius at most 2, exact edge/triangle counts
     (via the oriented counter, a different route than construction), the
-    reported densities, and the captured-triangle fraction. A rho_floor
-    additionally requires every defined density to reach that value.
+    reported densities, and the captured-triangle fraction.
     """
     violations: list[str] = []
     seen: set[int] = set()
@@ -417,11 +416,6 @@ def verify_tightly_knit(g: Graph, family: TightlyKnitFamily,
                 violations.append(f"cluster {idx} {name} definedness mismatch")
             elif got is not None and not math.isclose(got, want, rel_tol=1e-12):
                 violations.append(f"cluster {idx} {name} mismatch")
-        if rho_floor is not None:
-            if rho_e is not None and rho_e < rho_floor:
-                violations.append(f"cluster {idx} rho_edge below floor")
-            if rho_t is not None and rho_t < rho_floor:
-                violations.append(f"cluster {idx} rho_tri below floor")
 
     frac = captured / recomputed_total if recomputed_total else 0.0
     if not math.isclose(frac, family.captured_triangle_fraction,

@@ -239,6 +239,15 @@ class TestContracts:
     def test_missing_file_exit_1(self, capsys):
         assert main(["closure", "/nonexistent/g.txt"]) == 1
 
+    def test_unknown_dataset_exit_1(self, capsys, tmp_path):
+        # fetch_dataset is the one place that checks a dataset name, and
+        # it refuses before it creates the cache directory
+        cache = tmp_path / "c"
+        assert main(["fetch", "nope", "--cache-dir", str(cache)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "netclass: unknown dataset 'nope'; known: ")
+        assert not cache.exists()
+
     def test_usage_error_exit_2(self, k4_file):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command", k4_file])
@@ -435,18 +444,9 @@ class TestContracts:
                 assert not any(n == "scipy" or n.startswith("scipy.")
                                for n in names), (path.name, node.lineno)
 
-    def test_report_phases_match_subcommands(self, capsys, monkeypatch,
-                                             moonmoser12_file):
+    def test_report_phases_match_subcommands(self, capsys, moonmoser12_file):
         # the closure and curve phases call the public functions the
-        # subcommands call, and nothing builds the whole pair table
-        from netclass.graph import pair_table
-
-        def refuse(g):
-            raise AssertionError("pair_table was called")
-        for name, module in list(sys.modules.items()):
-            if name.startswith("netclass") and \
-                    getattr(module, "pair_table", None) is pair_table:
-                monkeypatch.setattr(module, "pair_table", refuse)
+        # subcommands call
         for argv in (["cliques"], ["triangle"], ["tkf"], ["plb"],
                      ["diameter"], ["diameter", "--exact"], ["bct"]):
             run_json(capsys, [*argv, moonmoser12_file])
@@ -490,10 +490,8 @@ class TestContracts:
             "status": "error", "reason": "the graph has no vertices"}
 
 
-# the netclass modules a run loads beyond the front end (the package,
-# cli, errors, and datasets for the parser's fetch choices)
-FRONT_END = {"netclass", "netclass.cli", "netclass.errors",
-             "netclass.datasets"}
+# the netclass modules every run loads: the package, cli and errors
+FRONT_END = {"netclass", "netclass.cli", "netclass.errors"}
 SUBCOMMAND_MODULES = [
     (["closure"], {"graph", "closure"}),
     (["cliques"], {"graph", "cliques"}),
@@ -560,6 +558,8 @@ class TestStartUp:
         assert codes == [0]
         assert "numpy" not in loaded
         assert "netclass.graph" not in loaded
+        assert "netclass.datasets" not in loaded
+        assert "dataclasses" not in loaded
 
     def test_unknown_name_is_an_attribute_error(self):
         assert not hasattr(cli, "no_such_function")

@@ -17,13 +17,12 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             common_neighbors, connected_components,
                             jaccard_similarity, largest_component,
-                            load_edge_list, pair_table, sorted_unique,
-                            wedge_count)
+                            load_edge_list, sorted_unique, wedge_count)
 
 from conftest import (adjacency_sets, brute_all_pairs_dist,
                       brute_c_closure, brute_common_neighbors,
                       brute_components, brute_load_edge_list, brute_wedges,
-                      brute_weak_closure_order, csr_star, random_graph_stream)
+                      brute_weak_closure_order, random_graph_stream)
 
 
 class TestLoadEdgeList:
@@ -151,6 +150,57 @@ class TestLoadEdgeListOracle:
         assert (stats.raw_lines, stats.self_loops, stats.duplicates) == (4, 1, 1)
 
 
+class TestFromEdges:
+    @staticmethod
+    def _oracle_csr(pairs, n):
+        # CSR from plain adjacency sets, without the library's sort
+        adj = [set() for _ in range(n)]
+        for u, v in pairs:
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        indptr = [0]
+        indices = []
+        for nbrs in adj:
+            indices += sorted(nbrs)
+            indptr.append(len(indices))
+        return indptr, indices
+
+    def _check(self, edges, n=None):
+        pairs = [tuple(e) for e in np.asarray(edges).reshape(-1, 2).tolist()]
+        want_n = n if n is not None else \
+            1 + max((max(e) for e in pairs), default=-1)
+        g = Graph.from_edges(edges, n=n)
+        indptr, indices = self._oracle_csr(pairs, want_n)
+        assert g.n == want_n
+        assert g.indptr.tolist() == indptr
+        assert g.indices.tolist() == indices
+        assert (g.indptr.dtype, g.indices.dtype) == (np.int64, np.int64)
+        assert g.m == len(indices) // 2
+        g.validate()
+
+    def test_random_arrays_with_reversals_and_loops(self):
+        rng = np.random.default_rng(89)
+        for size, ids in ((1, 1), (5, 3), (40, 12), (300, 60), (2000, 400)):
+            edges = rng.integers(0, ids, size=(size, 2), dtype=np.int64)
+            # every edge again reversed, and every fifth id as a loop
+            loops = np.repeat(np.arange(0, ids, 5)[:, None], 2, axis=1)
+            self._check(np.concatenate([edges, edges[:, ::-1], loops]))
+
+    def test_explicit_n_keeps_trailing_isolated_vertices(self):
+        self._check(np.array([[0, 1], [2, 1], [1, 0]]), n=7)
+
+    def test_empty_input(self):
+        self._check(np.zeros((0, 2), dtype=np.int64), n=0)
+        self._check(np.zeros((0, 2), dtype=np.int64), n=5)
+        self._check([], n=0)
+        self._check([], n=5)
+
+    def test_list_input(self):
+        self._check([(3, 1), (1, 3), (2, 2), (0, 3), (4, 0)])
+        self._check([[0, 1], [1, 2]], n=4)
+
+
 class TestValidate:
     @staticmethod
     def _graph(rows: list[list[int]]) -> Graph:
@@ -265,13 +315,22 @@ class TestPairTable:
                 for u, w in itertools.combinations(range(g.n), 2)
                 if adj[u] & adj[w]]
 
+    @staticmethod
+    def _block_rows(g):
+        # the (u, w, count, adjacent) rows of the concatenated blocks,
+        # each block's dtypes checked on the way
+        rows = []
+        for keys, count, adjacent in graph_module._pair_blocks(g):
+            assert (keys.dtype, count.dtype, adjacent.dtype) == \
+                (np.int64, np.int32, np.bool_)
+            u, w = np.divmod(keys, g.n)
+            rows += zip(u.tolist(), w.tolist(), count.tolist(),
+                        adjacent.tolist())
+        return rows
+
     def test_matches_brute_force(self):
         for g in self._graphs():
-            u, w, count, adjacent = pair_table(g)
-            rows = list(zip(u.tolist(), w.tolist(), count.tolist(),
-                            adjacent.tolist()))
-            assert rows == self._brute_rows(g)
-            assert adjacent.dtype == bool
+            assert self._block_rows(g) == self._brute_rows(g)
 
     @pytest.mark.parametrize("block_paths", [1, 2, 5, 13])
     def test_block_boundaries(self, monkeypatch, block_paths):
@@ -286,13 +345,9 @@ class TestPairTable:
                                    n=10)]
         graphs += random_graph_stream(20, 25, seed=43)
         for g in graphs:
-            u, w, count, adjacent = pair_table(g)
             rows = self._brute_rows(g)
-            assert list(zip(u.tolist(), w.tolist(), count.tolist(),
-                            adjacent.tolist())) == rows
-            assert (u.dtype, w.dtype, count.dtype, adjacent.dtype) == \
-                (np.int64, np.int64, np.int32, np.bool_)
-            # the consumers that fold the blocks instead of the table
+            assert self._block_rows(g) == rows
+            # the consumers that fold the blocks
             curve = closure_rate_curve(g)
             hist = collections.Counter(k for _, _, k, _ in rows)
             closed = collections.Counter(k for _, _, k, adj in rows if adj)
@@ -305,17 +360,6 @@ class TestPairTable:
             assert (list(profile.elimination_order),
                     list(profile.per_vertex_requirement)) == \
                 brute_weak_closure_order(g)
-
-
-    def test_memory_guard_refuses_before_walking(self, monkeypatch):
-        # K_{1,10^6}: 5 * 10^11 leaf pairs share the center, terabytes of
-        # table; the guard refuses from the wedge count alone
-        def no_walk(g):
-            raise AssertionError("a block was walked")
-        monkeypatch.setattr(graph_module, "_pair_blocks", no_walk)
-        with pytest.raises(ValueError, match="exceeds the [0-9]+ bytes of "
-                                             "physical memory$"):
-            pair_table(csr_star(10 ** 6))
 
 
 class TestClosureRateCurve:
