@@ -124,8 +124,8 @@ def _cmd_cliques(g: Graph, args) -> dict | None:
     budget = args.budget
     if args.enumerate:
         cliques = _cli.enumerate_maximal_cliques(g, budget=budget)
-        lines = [" ".join(str(g.label_of(v)) for v in c) + "\n"
-                 for c in cliques]
+        labels = [str(x) for x in g.labels.tolist()]
+        lines = [" ".join([labels[v] for v in c]) + "\n" for c in cliques]
         _write("".join(lines), args.out)
         return None
     if args.max:

@@ -100,7 +100,7 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
         tmp.write_bytes(payload)
         tmp.replace(path)
 
-    g, stats = load_edge_list(str(path), return_stats=True)
+    g, stats = load_edge_list(path, return_stats=True)
     ok, note = _verify(name, entry, g, stats)
     marker = path.with_name(path.name + ".unverified")
     if not ok:

@@ -8,9 +8,10 @@ safe to call concurrently once a graph is built.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -214,43 +215,40 @@ class LoadStats:
     duplicates: int
 
 
-def load_edge_list(source: str | bytes | IO, return_stats: bool = False):
-    """Parse a SNAP-style edge list into a Graph.
+def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
+    """Parse a SNAP-style edge-list file into a Graph.
 
+    ``path`` is a file path, as a ``str`` or a ``pathlib.Path``. The
+    file is read as UTF-8 one line at a time; a line ends at LF, and a
+    trailing CR is stripped with the other surrounding whitespace.
     Lines starting with ``#`` are comments; data lines hold two
     whitespace-separated integer ids that fit in int64. Original ids are
     preserved in the label map. Directed inputs are symmetrized;
     self-loops and duplicate edges are dropped (counted in the stats).
-
-    ``bytes`` is content; a ``str`` containing a newline is content; any
-    other ``str`` is a file path; anything else is iterated as lines.
     """
-    if isinstance(source, str) and "\n" not in source:
-        with open(source, "rb") as fh:
-            return load_edge_list(fh, return_stats)
-    lines = source.splitlines() if isinstance(source, (bytes, str)) else source
     ids = array("q")  # u0, v0, u1, v1, ...; rejects ids beyond int64
-    for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8")
+                line = line.decode("utf-8").strip()
             except UnicodeDecodeError:
                 raise ParseError("line is not valid UTF-8", line_no) from None
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two fields, got {len(parts)}", line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer vertex id in {line!r}", line_no) from None
-        try:
-            ids.append(u)
-            ids.append(v)
-        except OverflowError:
-            raise ParseError(f"vertex id beyond int64 in {line!r}", line_no) from None
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected two fields, got {len(parts)}", line_no)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"non-integer vertex id in {line!r}",
+                                 line_no) from None
+            try:
+                ids.append(u)
+                ids.append(v)
+            except OverflowError:
+                raise ParseError(f"vertex id beyond int64 in {line!r}",
+                                 line_no) from None
 
     # every id that appears in the file is a vertex, even if all of its
     # lines are self-loops (SNAP node counts include these)
@@ -403,25 +401,12 @@ class BfsLevels:
 
     For one source, ``dist`` has shape (n,) and ``level_sizes`` (L,).
     For a block, row i of ``dist`` (S, n) and of ``level_sizes`` (S, L)
-    belongs to ``source[i]``, and a row's sizes are zero past that
-    source's eccentricity. The accessors below read one-source results.
+    belongs to the i-th source, and a row's sizes are zero past that
+    source's eccentricity, which is the row's largest distance.
     """
 
-    source: int | np.ndarray
     dist: np.ndarray              # int64, -1 where unreachable
     level_sizes: np.ndarray       # level_sizes[l] = |{v : dist(source, v) = l}|
-
-    def distance(self, v: int) -> int | float:
-        d = int(self.dist[v])
-        return math.inf if d == UNREACHABLE else d
-
-    @property
-    def eccentricity(self) -> int:
-        return int(self.dist.max())
-
-    @property
-    def reached(self) -> int:
-        return int((self.dist >= 0).sum())
 
 
 def bfs_levels(g: Graph, source: int | np.ndarray) -> BfsLevels:
@@ -445,8 +430,7 @@ def bfs_levels(g: Graph, source: int | np.ndarray) -> BfsLevels:
         dist[frontier] = len(sizes)
         sizes.append(frontier.size)
         frontier = _next_level(g, frontier, unseen)
-    return BfsLevels(source=source, dist=dist,
-                     level_sizes=np.array(sizes, dtype=np.int64))
+    return BfsLevels(dist, np.array(sizes, dtype=np.int64))
 
 
 def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
@@ -489,9 +473,8 @@ def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
         seen |= nxt
         frontier = nxt
         reached = np.flatnonzero(frontier)
-    return BfsLevels(source=sources,
-                     dist=np.subtract(depth.T, 1, dtype=np.int64, order="C"),
-                     level_sizes=np.stack(sizes, axis=1))
+    return BfsLevels(np.subtract(depth.T, 1, dtype=np.int64, order="C"),
+                     np.stack(sizes, axis=1))
 
 
 def _next_level(g: Graph, frontier: np.ndarray,

@@ -273,10 +273,10 @@ def _radius(g: Graph) -> int:
     floor = 0 if g.n <= 1 else 1 if deg.max() == g.n - 1 else 2
     best = g.n + 1
     for v in np.argsort(-deg, kind="stable").tolist():
-        levels = bfs_levels(g, v)
-        if levels.reached < g.n:
+        dist = bfs_levels(g, v).dist
+        if dist.min() < 0:  # a vertex is unreached
             return g.n + 1
-        best = min(best, levels.eccentricity)
+        best = min(best, int(dist.max()))
         if best == floor:
             break
     return best

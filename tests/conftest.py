@@ -11,6 +11,7 @@ import os
 import sys
 from collections import deque
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,13 +189,27 @@ def random_graph_stream(count: int, max_n: int, seed: int,
             np.column_stack([iu[0][mask], iu[1][mask]]), n=n)
 
 
+@pytest.fixture
+def edge_list_file(tmp_path):
+    """Writes edge-list content (str as UTF-8, or bytes) to a new file
+    under ``tmp_path`` and returns its path."""
+    names = itertools.count()
+
+    def write(content: str | bytes) -> Path:
+        path = tmp_path / f"edges{next(names)}.txt"
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+        return path
+    return write
+
+
 def brute_load_edge_list(text: str):
     """Labels, adjacency by label and (raw_lines, self_loops, duplicates)
-    of an edge-list text, parsed with str.split, a set and a dict."""
+    of an edge-list text, parsed with str.split, a set and a dict. Lines
+    end at LF only, as in a file read in binary mode."""
     ids: set[int] = set()
     edges: set[frozenset[int]] = set()
     raw = loops = dups = 0
-    for line in text.splitlines():
+    for line in text.split("\n"):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -252,7 +267,7 @@ def snap_graph(name: str):
         for cache in _candidate_cache_dirs():
             try:
                 res = fetch_dataset(name, cache_dir=cache)
-                value = load_edge_list(str(res.path), return_stats=True)
+                value = load_edge_list(res.path, return_stats=True)
                 break
             except (DatasetError, OSError):
                 continue

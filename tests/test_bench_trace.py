@@ -1,0 +1,29 @@
+"""The benchmark's traced pass, run once against this checkout.
+
+``perfbench/run.py --trace 1`` unpacks ``load_edge_list``'s result,
+calls ``bfs_levels`` and the other library functions in-process, and
+checks every output. A library change that breaks it would otherwise
+show only as failed operations in a benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_traced_mesh_pass_is_correct(tmp_path):
+    # run.py loads the library from ./src and writes .bench_work/ in the
+    # working directory, so a directory holding only a link to src/
+    # keeps the checkout clean
+    (tmp_path / "src").symlink_to(REPO / "src")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "run.py"),
+         "--workload", "mesh", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"], result["attempted"]) == \
+        (True, 0, 24), proc.stderr
