@@ -127,31 +127,32 @@ def degeneracy_ordering(g: Graph) -> OrientedGraph:
     degeneracy.
     """
     n = g.n
-    degs = g.degrees.astype(np.int64).copy()
-    alive = np.ones(n, dtype=bool)
-    heap = [(int(degs[v]), v) for v in range(n)]
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    degs = g.degrees.tolist()
+    alive = [True] * n
+    heap = [(d, v) for v, d in enumerate(degs)]
     heapq.heapify(heap)
-    order = np.empty(n, dtype=np.int64)
-    removal_degrees = np.empty(n, dtype=np.int64)
-    for i in range(n):
+    order, removal_degrees = [], []
+    for _ in range(n):
         while True:
             d, v = heapq.heappop(heap)
             if alive[v] and d == degs[v]:
                 break
         alive[v] = False
-        order[i] = v
-        removal_degrees[i] = d
-        for w in g.neighbors(v):
+        order.append(v)
+        removal_degrees.append(d)
+        for w in nbrs[ptr[v]:ptr[v + 1]]:
             if alive[w]:
                 degs[w] -= 1
-                heapq.heappush(heap, (int(degs[w]), w))
+                heapq.heappush(heap, (degs[w], w))
+    order = np.array(order, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     indptr, indices = _orient_by_rank(g, rank)
-    alpha = int(removal_degrees.max()) if n else 0
-    return OrientedGraph(order=order, rank=rank, out_indptr=indptr,
-                         out_indices=indices, degeneracy=alpha,
-                         removal_degrees=removal_degrees)
+    return OrientedGraph(
+        order=order, rank=rank, out_indptr=indptr, out_indices=indices,
+        degeneracy=max(removal_degrees, default=0),
+        removal_degrees=np.array(removal_degrees, dtype=np.int64))
 
 
 def degree_orientation(g: Graph) -> OrientedGraph:

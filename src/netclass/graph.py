@@ -221,33 +221,37 @@ def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
     ``path`` is a file path, as a ``str`` or a ``pathlib.Path``. The
     file is read as UTF-8 one line at a time; a line ends at LF, and a
     trailing CR is stripped with the other surrounding whitespace.
-    Lines starting with ``#`` are comments; data lines hold two
-    whitespace-separated integer ids that fit in int64. Original ids are
-    preserved in the label map. Directed inputs are symmetrized;
-    self-loops and duplicate edges are dropped (counted in the stats).
+    Lines starting with ``#`` are comments; a data line holds two ids,
+    each an optional ``-`` and ASCII digits within int64, split by
+    whitespace. Original ids are kept as labels; directed inputs are
+    symmetrized, self-loops and duplicate edges dropped (and counted).
     """
     ids = array("q")  # u0, v0, u1, v1, ...; rejects ids beyond int64
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8").strip()
+                line = line.decode("utf-8")
             except UnicodeDecodeError:
                 raise ParseError("line is not valid UTF-8", line_no) from None
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 2:
                 raise ParseError(f"expected two fields, got {len(parts)}", line_no)
             try:
+                # int() also takes "+", "_" and other scripts' digits
+                if "+" in line or "_" in line or not (
+                        line.isascii() or "".join(parts).isascii()):
+                    raise ValueError
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"non-integer vertex id in {line!r}",
+                raise ParseError(f"non-integer vertex id in {line.strip()!r}",
                                  line_no) from None
             try:
                 ids.append(u)
                 ids.append(v)
             except OverflowError:
-                raise ParseError(f"vertex id beyond int64 in {line!r}",
+                raise ParseError(f"vertex id beyond int64 in {line.strip()!r}",
                                  line_no) from None
 
     # every id that appears in the file is a vertex, even if all of its

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cliques import degree_orientation
-from .graph import Graph, bfs_levels, wedge_count
+from .graph import Graph, _pair_blocks, bfs_levels, wedge_count
 
 
 @dataclass
@@ -40,23 +40,16 @@ class TriangleStats:
 
 
 def triangle_count_naive(g: Graph) -> TriangleStats:
-    """Count triangles by checking every neighbor pair of every vertex.
+    """Count triangles by folding the pair walk (``graph._pair_blocks``).
 
-    Work is proportional to the wedge count; the triangle total is one
-    third of the closed-wedge count.
+    Each edge u < w closes one wedge per common neighbor, so the counts
+    of the adjacent pairs sum to three times the triangle count. Work is
+    proportional to the wedge count, memory to one block of pairs.
     """
-    flags = np.zeros(g.n, dtype=bool)
-    closed_ordered = 0
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        if nbrs.size < 2:
-            continue
-        flags[nbrs] = True
-        for v in nbrs:
-            closed_ordered += int(flags[g.neighbors(v)].sum())
-        flags[nbrs] = False
+    closed = sum(int(count[adjacent].sum())
+                 for _, count, adjacent in _pair_blocks(g))
     w = wedge_count(g)
-    return TriangleStats(triangle_count=closed_ordered // 6, wedge_count=w,
+    return TriangleStats(triangle_count=closed // 3, wedge_count=w,
                          operation_count=w)
 
 
@@ -104,17 +97,18 @@ class EdgeDeletion:
 
 def _clean_sets(adj: list[set[int]], seeds,
                 epsilon: float) -> list[EdgeDeletion]:
-    """Run the cleaner's FIFO worklist over ``adj``, deleting edges in place."""
+    """Run the cleaner's FIFO worklist over ``adj``, deleting edges in place.
 
-    def norm(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
-    queue: deque[tuple[int, int]] = deque(norm(u, v) for u, v in seeds)
+    Edges u < v are queued as pair keys u * n + v (``graph._pair_blocks``).
+    """
+    n = len(adj)
+    queue = deque(u * n + v if u < v else v * n + u for u, v in seeds)
     queued = set(queue)
     log: list[EdgeDeletion] = []
     while queue:
-        u, v = queue.popleft()
-        queued.discard((u, v))
+        key = queue.popleft()
+        queued.discard(key)
+        u, v = divmod(key, n)
         if v not in adj[u]:
             continue
         inter = len(adj[u] & adj[v])
@@ -127,10 +121,10 @@ def _clean_sets(adj: list[set[int]], seeds,
         log.append(EdgeDeletion(u, v, similarity, inter))
         for a in (u, v):
             for b in sorted(adj[a]):
-                e = norm(a, b)
-                if e not in queued:
-                    queue.append(e)
-                    queued.add(e)
+                key = a * n + b if a < b else b * n + a
+                if key not in queued:
+                    queue.append(key)
+                    queued.add(key)
     return log
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -204,16 +205,25 @@ def edge_list_file(tmp_path):
 
 def brute_load_edge_list(text: str):
     """Labels, adjacency by label and (raw_lines, self_loops, duplicates)
-    of an edge-list text, parsed with str.split, a set and a dict. Lines
-    end at LF only, as in a file read in binary mode."""
+    of an edge-list text, parsed with str.split, a regex, a set and a
+    dict. Lines end at LF only, as in a file read in binary mode. An id
+    is ``-?[0-9]+`` within int64; the first bad data line raises
+    ``ValueError(line_no, what)``, ``what`` being "fields" (not two of
+    them), "id" or "int64"."""
     ids: set[int] = set()
     edges: set[frozenset[int]] = set()
     raw = loops = dups = 0
-    for line in text.split("\n"):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
+        if len(fields) != 2:
+            raise ValueError(line_no, "fields")
+        if not all(re.fullmatch("-?[0-9]+", f) for f in fields):
+            raise ValueError(line_no, "id")
         u, v = map(int, fields)
+        if not all(-2**63 <= x < 2**63 for x in (u, v)):
+            raise ValueError(line_no, "int64")
         raw += 1
         ids |= {u, v}
         if u == v:
@@ -227,6 +237,48 @@ def brute_load_edge_list(text: str):
         adj[u].add(v)
         adj[v].add(u)
     return sorted(ids), adj, (raw, loops, dups)
+
+
+def brute_clean(g: Graph, epsilon: float, seeds=None):
+    """The cleaner's deletion log as (u, v, similarity, triangles
+    destroyed) tuples, run on a dict of sets with a list of (u, v)
+    tuples, u < v, as its FIFO worklist.
+
+    The worklist starts as ``seeds`` (each pair ordered, repeats kept;
+    by default every edge in lexicographic order). A popped pair that is
+    still an edge is deleted when its similarity |N(u) & N(v)| /
+    (|N(u) | N(v)| - 2), 0 when that denominator is not positive, is
+    below epsilon; then the edges at u, then those at v, each in
+    ascending order of the far end, are appended unless already
+    waiting. Popping a pair ends its wait."""
+    adj = {v: set(g.neighbors(v).tolist()) for v in range(g.n)}
+    if seeds is None:
+        seeds = sorted((u, v) for u in adj for v in adj[u] if u < v)
+    worklist = [(min(u, v), max(u, v)) for u, v in seeds]
+    waiting = set(worklist)
+    log = []
+    head = 0
+    while head < len(worklist):
+        u, v = worklist[head]
+        head += 1
+        waiting.discard((u, v))
+        if v not in adj[u]:
+            continue
+        shared = len(adj[u] & adj[v])
+        denom = len(adj[u] | adj[v]) - 2
+        similarity = shared / denom if denom > 0 else 0.0
+        if similarity >= epsilon:
+            continue
+        adj[u].remove(v)
+        adj[v].remove(u)
+        log.append((u, v, similarity, shared))
+        for end in (u, v):
+            for far in sorted(adj[end]):
+                pair = (min(end, far), max(end, far))
+                if pair not in waiting:
+                    worklist.append(pair)
+                    waiting.add(pair)
+    return log
 
 
 @contextmanager

@@ -27,3 +27,24 @@ def test_traced_mesh_pass_is_correct(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"], result["attempted"]) == \
         (True, 0, 24), proc.stderr
+
+
+def test_traced_community_pass_is_correct(tmp_path):
+    # the triangle-dense workload: its tkf and triangle children are
+    # checked against the recorded sha256s and by verify_tightly_knit
+    (tmp_path / "src").symlink_to(REPO / "src")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "run.py"),
+         "--workload", "community", "--seed", "1", "--seconds", "0",
+         "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"], result["attempted"]) == \
+        (True, 0, 24), proc.stderr
+    counts = {name: result["metrics"][name]["value"] for name in
+              ("triangles.t", "tkf.clusters", "tkf.phases",
+               "tkf.edges_deleted", "closure.pairs", "cliques.degeneracy")}
+    assert counts == {"triangles.t": 106105, "tkf.clusters": 44,
+                      "tkf.phases": 88, "tkf.edges_deleted": 3816,
+                      "closure.pairs": 217696, "cliques.degeneracy": 32}

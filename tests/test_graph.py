@@ -55,6 +55,29 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="line 1"):
             load_edge_list(edge_list_file("zero 1\n"))
 
+    @pytest.mark.parametrize("bad", ["1_0", "+5", "\u0663", "\uff15",
+                                     "\u00b2", "0x1f", "1.0", "--3", "-",
+                                     "5-", "1e3"])
+    def test_id_is_minus_and_ascii_digits(self, edge_list_file, bad):
+        # int() alone would read "1_0", "+5" and other scripts' digits
+        for text in (f"0 1\n{bad} 2\n", f"0 1\n2 {bad}\n"):
+            with pytest.raises(ParseError,
+                               match=r"^line 2: non-integer vertex id"):
+                load_edge_list(edge_list_file(text))
+
+    def test_id_grammar_keeps_which_error_wins(self, edge_list_file):
+        with pytest.raises(ParseError, match=r"^line 1: expected two fields"):
+            load_edge_list(edge_list_file("1_0 2 3\n+1 2\n"))
+        with pytest.raises(ParseError, match=r"^line 2: non-integer"):
+            load_edge_list(edge_list_file("0 1\n+5 99999999999999999999\n"))
+        with pytest.raises(ParseError, match=r"^line 2: vertex id beyond"):
+            load_edge_list(edge_list_file("0 1\n-99999999999999999999 3\n+4 5"))
+
+    def test_nbsp_separated_and_minus_zero_ids_load(self, edge_list_file):
+        g = load_edge_list(edge_list_file("-0\xa07\n007 -12\n"))
+        assert g.labels.tolist() == [-12, 0, 7]
+        assert g.m == 2
+
     def test_id_beyond_int64_reports_line(self, edge_list_file):
         with pytest.raises(ParseError, match="line 2"):
             load_edge_list(edge_list_file("0 1\n99999999999999999999999 3\n"))
@@ -136,6 +159,33 @@ class TestLoadEdgeListOracle:
         eol = rng.choice(["\n", "\r\n"])
         text = eol.join(lines)
         return text + eol if lines and rng.random() < 0.5 else text
+
+    BAD_IDS = ["1_0", "+5", "\u0663", "\uff15", "0x1", "1.0", "--3", "-",
+               "9" * 20, "-" + "9" * 20]
+    ERRORS = {"fields": "expected two fields", "id": "non-integer vertex id",
+              "int64": "vertex id beyond int64"}
+
+    def test_first_bad_line_matches_oracle(self, tmp_path):
+        rng = random.Random(1435)
+        path = tmp_path / "g.txt"
+        for _ in range(150):
+            lines = self._random_text(rng).split("\n")
+            for _ in range(rng.randint(1, 3)):
+                pair = [str(rng.randint(-40, 40)), rng.choice(self.BAD_IDS)]
+                rng.shuffle(pair)
+                bad = rng.choice([rng.choice([" ", "\t", "\xa0"]).join(pair),
+                                  "1 2 3", "7"])
+                lines.insert(rng.randint(0, len(lines)), bad)
+            text = "\n".join(lines)
+            with pytest.raises(ValueError) as want:
+                brute_load_edge_list(text)
+            line_no, what = want.value.args
+            path.write_bytes(text.encode())
+            with pytest.raises(ParseError) as got:
+                load_edge_list(path)
+            assert got.value.line_no == line_no
+            assert str(got.value).startswith(
+                f"line {line_no}: {self.ERRORS[what]}")
 
     def test_matches_set_and_dict_oracle(self, tmp_path):
         rng = random.Random(2014)

@@ -1,4 +1,4 @@
-"""Memory budgets of the pair and clique layers, measured with tracemalloc.
+"""Memory budgets of the pair, triangle and clique layers, via tracemalloc.
 
 tracemalloc counts every Python and NumPy allocation, so a peak repeats
 exactly from run to run. Each bound below is linear in what the layer
@@ -17,7 +17,8 @@ from netclass.cliques import (EMIT_CHUNK, _bron_kerbosch,
                               enumerate_maximal_cliques)
 from netclass.closure import weak_closure_number
 from netclass.generators import moon_moser, random_graph
-from netclass.graph import closure_rate_curve
+from netclass.graph import closure_rate_curve, wedge_count
+from netclass.triangles import triangle_count_naive
 
 # the streamed walk: per-edge arrays (heads, back, above, slot paths)
 # take 32 bytes a CSR slot and one block's keys and counts at most 64
@@ -57,6 +58,13 @@ def test_curve_holds_one_block(small_blocks):
     # a table of these pairs alone would take 21 bytes each
     assert 21 * pairs > walk_bytes(g)
     assert traced_peak(lambda: closure_rate_curve(g)) <= walk_bytes(g)
+
+
+def test_plain_triangle_count_holds_one_block(small_blocks):
+    g = random_graph(600, 0.08, seed=2)
+    # gathering every wedge path's key at once would take 8 bytes a path
+    assert 8 * wedge_count(g) > walk_bytes(g)
+    assert traced_peak(lambda: triangle_count_naive(g)) <= walk_bytes(g)
 
 
 def test_weak_closure_holds_32_bytes_an_open_pair(small_blocks):

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from netclass import graph as graph_module
 from netclass.generators import (complete_graph, complete_multipartite,
                                  cycle_graph, disjoint_union, lollipop_graph,
-                                 path_graph, random_tree, star_graph)
+                                 path_graph, random_graph, random_tree,
+                                 star_graph)
 from netclass.graph import Graph, bfs_levels, jaccard_similarity, wedge_count
 from netclass.triangles import (ClusterCertificate, PhaseLog, _radius, clean,
                                 extract, tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
-from conftest import (brute_all_pairs_dist, brute_triangles,
+from conftest import (brute_all_pairs_dist, brute_clean, brute_triangles,
                       brute_triangles_dense, brute_wedges, random_graph_stream)
 
 
@@ -62,6 +64,22 @@ class TestCounting:
         stats = triangle_count_naive(complete_multipartite([3, 3, 3]))
         assert stats.triangle_count == 27
         assert stats.wedge_count == 135
+
+
+class TestPlainCountBlocks:
+    GRAPHS = [Graph.from_edges([], n=0), Graph.from_edges([], n=6),
+              Graph.from_edges([(2, 3), (3, 4), (2, 4)], n=8),
+              star_graph(12), *(complete_graph(k) for k in range(1, 9)),
+              *random_graph_stream(25, 30, seed=316)]
+
+    @pytest.mark.parametrize("paths", [1, 7, 4096])
+    def test_every_block_size_matches_triple_scan(self, monkeypatch, paths):
+        # each block walks at most ``paths`` wedge paths, or one vertex's
+        monkeypatch.setattr(graph_module, "PAIR_BLOCK_PATHS", paths)
+        for g in self.GRAPHS:
+            stats = triangle_count_naive(g)
+            assert stats.triangle_count == brute_triangles(g)
+            assert stats.wedge_count == stats.operation_count == brute_wedges(g)
 
 
 class TestCleaner:
@@ -114,6 +132,32 @@ class TestCleaner:
         cleaned, log = clean(g, 0.5)
         after = triangle_count_naive(cleaned).triangle_count
         assert before - after == sum(d.triangles_destroyed for d in log)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.4, 1.0])
+    def test_log_matches_fifo_oracle(self, epsilon):
+        for g in random_graph_stream(100, 30, seed=808, min_n=3):
+            _, log = clean(g, epsilon)
+            assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
+                    for d in log] == brute_clean(g, epsilon)
+
+    def test_seeded_log_matches_fifo_oracle(self):
+        # the decomposition's second clean: the residual after one
+        # extraction, seeded at the boundary from each end of an edge
+        g = random_graph(40, 0.2, seed=0)
+        cleaned, _ = clean(g, 0.1)
+        cluster, _, rest = extract(cleaned)
+        inside = set(cluster.tolist())
+        boundary = sorted({w for c in inside
+                           for w in cleaned.neighbors(c).tolist()} - inside)
+        index = {lab: i for i, lab in enumerate(rest.labels.tolist())}
+        seeds = [(index[b], w) for b in boundary
+                 for w in rest.neighbors(index[b]).tolist()]
+        assert len(seeds) > len(set(map(frozenset, seeds)))  # repeats kept
+        _, log = clean(rest, 0.1, seeds=seeds)
+        want = brute_clean(rest, 0.1, seeds=seeds)
+        assert want
+        assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
+                for d in log] == want
 
 
 class TestExtractor:
