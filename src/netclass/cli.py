@@ -181,9 +181,8 @@ def _cmd_plb(g: Graph, args) -> dict:
         fit_info = {"auto_gamma": False}
     buckets = [{
         "r": b.r, "lo": b.lo, "hi": b.hi, "mass": b.mass,
-        "bound": fit.c_plb * dd.n * b.bound_sum,
-        "slack": b.ratio / fit.c_plb if fit.c_plb > 0 else None,
-    } for b in fit.buckets]
+        "bound": fit.c_plb * dd.n * b.bound_sum, "slack": slack,
+    } for b, slack in zip(fit.buckets, fit.slacks())]
     body = {"gamma": fit.gamma, "shift": fit.shift, "c": fit.c_plb,
             "isolated_vertices": fit.isolated, "buckets": buckets}
     body.update(fit_info)
@@ -260,9 +259,8 @@ def _cmd_report(g: Graph, args) -> dict:
             phases[name] = {"status": "error", "reason": str(exc)}
         timings[name] = time.perf_counter() - start
 
-    def closure_phase():
-        p = _cli.weak_closure_number(g)
-        return {"c": p.c_closure, "weak_c": p.weak_closure}
+    def only(handler, *keys):  # run a subcommand's handler, keep ``keys``
+        return lambda: {k: v for k, v in handler(g, args).items() if k in keys}
 
     def cliques_phase():
         cliques = _cli.enumerate_maximal_cliques(
@@ -271,31 +269,20 @@ def _cmd_report(g: Graph, args) -> dict:
         return {"maximal_clique_count": len(cliques),
                 "maximum_clique_size": len(largest)}
 
-    def triangle_phase():
-        res = _cli.triangle_count_oriented(g)
-        return {"t": res.triangle_count, "w": res.wedge_count,
-                "tau": res.density}
-
-    def diameter_phase():
-        h = _maybe_largest_cc(g, True)
-        res = _cli.two_sweep(h)
-        return {"method": "two-sweep",
-                "diameter_lower_bound": res.lower_bound,
-                "component_n": h.n}
-
     def curve_phase():
         curve = _cli.closure_rate_curve(g)
         rates = {int(k): c / p for k, p, c in
                  zip(curve.ks[:5], curve.pair_counts[:5], curve.closed_counts[:5])}
         return {"edge_density": curve.edge_density, "first_rates": rates}
 
-    run_phase("closure", closure_phase)
+    run_phase("closure", only(_cmd_closure, "c", "weak_c"))
     run_phase("curve", curve_phase)
     run_phase("cliques", cliques_phase)
-    run_phase("triangle", triangle_phase)
+    run_phase("triangle", only(_cmd_triangle, "t", "w", "tau"))
     run_phase("tkf", lambda: _cmd_tkf(g, args))
     run_phase("plb", lambda: _cmd_plb(g, args))
-    run_phase("diameter", diameter_phase)
+    run_phase("diameter", only(_cmd_diameter, "method",
+                               "diameter_lower_bound", "component_n"))
 
     body = {"phases": phases}
     if args.timings:
@@ -387,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical "
                         "reruns)")
-    p.set_defaults(tail_csv=None)  # the plb phase runs the plb handler
+    # the plb and diameter phases run those handlers with these settings
+    p.set_defaults(tail_csv=None, exact=False, largest_cc=True)
 
     p = add("fetch", _cmd_fetch, "download and cache a known dataset")
     p.add_argument("name", help="a dataset name from the bundled manifest")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
@@ -215,6 +216,15 @@ class LoadStats:
     duplicates: int
 
 
+def _long_id(text: str) -> int:
+    """An optional ``-`` and ASCII digits, read to 20 significant digits
+    (beyond int64 already), else ValueError; int() refuses long ids."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(text)
+    digits = text.lstrip("-0")[:20] or "0"
+    return -int(digits) if text[0] == "-" else int(digits)
+
+
 def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
     """Parse a SNAP-style edge-list file into a Graph.
 
@@ -245,8 +255,12 @@ def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
                     raise ValueError
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"non-integer vertex id in {line.strip()!r}",
-                                 line_no) from None
+                try:  # int() refuses ids longer than Python's digit limit
+                    u, v = map(_long_id, parts)
+                except ValueError:
+                    raise ParseError(
+                        f"non-integer vertex id in {line.strip()!r}",
+                        line_no) from None
             try:
                 ids.append(u)
                 ids.append(v)

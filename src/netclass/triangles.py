@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliques import degree_orientation
 from .graph import Graph, _pair_blocks, bfs_levels, wedge_count
 
 
@@ -56,21 +55,21 @@ def triangle_count_naive(g: Graph) -> TriangleStats:
 def triangle_count_oriented(g: Graph) -> TriangleStats:
     """Count triangles through the degree orientation.
 
-    Each triangle is found exactly once, at its lowest-ordered vertex.
-    Adjacency checks use a reusable mark array over out-neighborhoods,
-    never a global edge lookup, so the work tracks sum of C(outdeg, 2).
+    Each triangle is found exactly once, at its lowest-ordered vertex u:
+    the out-row of u, as a set, meets the out-row of each v in it. Rows
+    are Python lists and no edge lookup is global, so the work tracks
+    sum of C(outdeg, 2), the operation count.
     """
+    # imported here, so that the decomposition never loads the clique module
+    from .cliques import degree_orientation
     og = degree_orientation(g)
-    flags = np.zeros(g.n, dtype=bool)
+    ptr, idx = og.out_indptr.tolist(), og.out_indices.tolist()
+    rows = [idx[ptr[u]:ptr[u + 1]] for u in range(g.n)]
     triangles = 0
-    for u in range(g.n):
-        out = og.out_neighbors(u)
-        if out.size < 2:
-            continue
-        flags[out] = True
-        for v in out:
-            triangles += int(flags[og.out_neighbors(v)].sum())
-        flags[out] = False
+    for row in rows:
+        if len(row) > 1:
+            mark = set(row)
+            triangles += sum(len(mark.intersection(rows[v])) for v in row)
     dplus = og.out_degrees.astype(np.int64)
     ops = int((dplus * (dplus - 1) // 2).sum())
     return TriangleStats(triangle_count=triangles, wedge_count=wedge_count(g),
@@ -276,9 +275,10 @@ def _radius(g: Graph) -> int:
     return best
 
 
-def _certificate(g: Graph, cluster: np.ndarray) -> ClusterCertificate:
+def _certificate(g: Graph, cluster: np.ndarray,
+                 count=triangle_count_naive) -> ClusterCertificate:
     sub = g.induced_subgraph(cluster)
-    tri = triangle_count_naive(sub).triangle_count
+    tri = count(sub).triangle_count
     size = len(cluster)
     rho_edge = sub.m / math.comb(size, 2) if size >= 2 else None
     rho_tri = tri / math.comb(size, 3) if size >= 3 else None
@@ -372,9 +372,10 @@ def verify_tightly_knit(g: Graph,
                         family: TightlyKnitFamily) -> FamilyVerification:
     """Re-derive every certificate of a family from scratch.
 
-    Checks disjointness, radius at most 2, exact edge/triangle counts
-    (via the oriented counter, a different route than construction), the
-    reported densities, and the captured-triangle fraction.
+    Checks disjointness, the total, and each cluster against its own
+    ``_certificate`` built with the oriented counter, a route other than
+    construction's pair-walk fold: radius at most 2, exact edge and
+    triangle counts, both densities, and the captured fraction.
     """
     violations: list[str] = []
     seen: set[int] = set()
@@ -391,21 +392,17 @@ def verify_tightly_knit(g: Graph,
     captured = 0
     for idx, (members, cert) in enumerate(zip(family.clusters,
                                               family.certificates)):
-        sub = g.induced_subgraph(np.array(members, dtype=np.int64))
-        tri = triangle_count_oriented(sub).triangle_count
-        captured += tri
-        radius = _radius(sub)
-        if radius > 2:
-            violations.append(f"cluster {idx} has radius {radius} > 2")
-        if sub.m != cert.edge_count:
+        own = _certificate(g, np.array(members, dtype=np.int64),
+                           triangle_count_oriented)
+        captured += own.triangle_count
+        if own.radius > 2:
+            violations.append(f"cluster {idx} has radius {own.radius} > 2")
+        if own.edge_count != cert.edge_count:
             violations.append(f"cluster {idx} edge count drifted")
-        if tri != cert.triangle_count:
+        if own.triangle_count != cert.triangle_count:
             violations.append(f"cluster {idx} triangle count drifted")
-        size = len(members)
-        rho_e = sub.m / math.comb(size, 2) if size >= 2 else None
-        rho_t = tri / math.comb(size, 3) if size >= 3 else None
-        for got, want, name in ((cert.rho_edge, rho_e, "rho_edge"),
-                                (cert.rho_tri, rho_t, "rho_tri")):
+        for name in ("rho_edge", "rho_tri"):
+            got, want = getattr(cert, name), getattr(own, name)
             if (got is None) != (want is None):
                 violations.append(f"cluster {idx} {name} definedness mismatch")
             elif got is not None and not math.isclose(got, want, rel_tol=1e-12):

@@ -12,6 +12,7 @@ import re
 import sys
 from collections import deque
 from contextlib import contextmanager
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,8 @@ def edge_list_file(tmp_path):
 
 def brute_load_edge_list(text: str):
     """Labels, adjacency by label and (raw_lines, self_loops, duplicates)
-    of an edge-list text, parsed with str.split, a regex, a set and a
-    dict. Lines end at LF only, as in a file read in binary mode. An id
+    of an edge-list text, parsed with str.split, a regex, Decimal, a set
+    and a dict. Lines end at LF only, as in a file read in binary mode. An id
     is ``-?[0-9]+`` within int64; the first bad data line raises
     ``ValueError(line_no, what)``, ``what`` being "fields" (not two of
     them), "id" or "int64"."""
@@ -221,7 +222,9 @@ def brute_load_edge_list(text: str):
             raise ValueError(line_no, "fields")
         if not all(re.fullmatch("-?[0-9]+", f) for f in fields):
             raise ValueError(line_no, "id")
-        u, v = map(int, fields)
+        # Decimal, unlike int(), reads more digits than Python's
+        # int-string limit allows
+        u, v = (int(Decimal(f)) for f in fields)
         if not all(-2**63 <= x < 2**63 for x in (u, v)):
             raise ValueError(line_no, "int64")
         raw += 1

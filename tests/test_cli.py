@@ -496,7 +496,7 @@ SUBCOMMAND_MODULES = [
     (["closure"], {"graph", "closure"}),
     (["cliques"], {"graph", "cliques"}),
     (["triangle"], {"graph", "cliques", "triangles"}),
-    (["tkf"], {"graph", "cliques", "triangles"}),
+    (["tkf"], {"graph", "triangles"}),
     (["plb"], {"graph", "plb"}),
     (["diameter", "--largest-cc"], {"graph", "metric"}),
     (["curve"], {"graph"}),

@@ -73,6 +73,19 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match=r"^line 2: vertex id beyond"):
             load_edge_list(edge_list_file("0 1\n-99999999999999999999 3\n+4 5"))
 
+    def test_ids_past_the_int_string_digit_limit(self, edge_list_file):
+        # int() refuses more than 4,300 digits, before any int64 check
+        for big in ("9" * 5000, "-" + "9" * 5000, "0" * 4990 + str(2**63)):
+            for text in (f"0 1\n{big} 2\n", f"0 1\n2 {big}\n"):
+                with pytest.raises(ParseError,
+                                   match=r"^line 2: vertex id beyond int64"):
+                    load_edge_list(edge_list_file(text))
+        with pytest.raises(ParseError, match=r"^line 2: non-integer"):
+            load_edge_list(edge_list_file(f"0 1\n{'9' * 5000} +2\n"))
+        text = f"{'0' * 5000}7 -{'0' * 5000}3\n"
+        assert load_edge_list(edge_list_file(text)).labels.tolist() == \
+            brute_load_edge_list(text)[0] == [-3, 7]
+
     def test_nbsp_separated_and_minus_zero_ids_load(self, edge_list_file):
         g = load_edge_list(edge_list_file("-0\xa07\n007 -12\n"))
         assert g.labels.tolist() == [-12, 0, 7]
@@ -161,7 +174,7 @@ class TestLoadEdgeListOracle:
         return text + eol if lines and rng.random() < 0.5 else text
 
     BAD_IDS = ["1_0", "+5", "\u0663", "\uff15", "0x1", "1.0", "--3", "-",
-               "9" * 20, "-" + "9" * 20]
+               "9" * 20, "-" + "9" * 20, "9" * 5000]
     ERRORS = {"fields": "expected two fields", "id": "non-integer vertex id",
               "int64": "vertex id beyond int64"}
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,23 @@ from netclass.generators import (complete_graph, complete_multipartite,
                                  path_graph, random_graph, random_tree,
                                  star_graph)
 from netclass.graph import Graph, bfs_levels, jaccard_similarity, wedge_count
-from netclass.triangles import (ClusterCertificate, PhaseLog, _radius, clean,
-                                extract, tightly_knit_decomposition,
+from netclass.triangles import (ClusterCertificate, PhaseLog,
+                                TightlyKnitFamily, _radius, clean, extract,
+                                tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
 from conftest import (brute_all_pairs_dist, brute_clean, brute_triangles,
                       brute_triangles_dense, brute_wedges, random_graph_stream)
+
+
+# graphs whose degrees tie, so the orientation falls back to index order
+TIE_HEAVY = [Graph.from_edges([], n=0), Graph.from_edges([], n=6),
+             Graph.from_edges([(2, 3), (3, 4), (2, 4)], n=8),
+             star_graph(1), star_graph(12),
+             *(complete_graph(k) for k in range(1, 9)),
+             complete_multipartite([3, 3, 3]),
+             complete_multipartite([1, 2, 2, 4])]
 
 
 class TestCounting:
@@ -38,13 +49,21 @@ class TestCounting:
         assert triangle_count_oriented(g).triangle_count == 0
 
     def test_counters_match_triple_scan(self):
-        for g in random_graph_stream(40, 40, seed=113):
+        for g in itertools.chain(TIE_HEAVY,
+                                 random_graph_stream(40, 40, seed=113)):
             expected = brute_triangles(g)
             naive = triangle_count_naive(g)
             oriented = triangle_count_oriented(g)
             assert naive.triangle_count == expected
             assert oriented.triangle_count == expected
             assert naive.wedge_count == oriented.wedge_count == wedge_count(g)
+            # each edge leaves the endpoint of lower (degree, index)
+            deg = g.degrees.tolist()
+            outdeg = [0] * g.n
+            for u, v in g.edge_array().tolist():
+                outdeg[min((deg[u], u), (deg[v], v))[1]] += 1
+            assert oriented.operation_count == sum(math.comb(d, 2)
+                                                   for d in outdeg)
 
     def test_operation_counts(self):
         k4 = complete_graph(4)
@@ -67,10 +86,7 @@ class TestCounting:
 
 
 class TestPlainCountBlocks:
-    GRAPHS = [Graph.from_edges([], n=0), Graph.from_edges([], n=6),
-              Graph.from_edges([(2, 3), (3, 4), (2, 4)], n=8),
-              star_graph(12), *(complete_graph(k) for k in range(1, 9)),
-              *random_graph_stream(25, 30, seed=316)]
+    GRAPHS = [*TIE_HEAVY, *random_graph_stream(25, 30, seed=316)]
 
     @pytest.mark.parametrize("paths", [1, 7, 4096])
     def test_every_block_size_matches_triple_scan(self, monkeypatch, paths):
@@ -363,6 +379,79 @@ class TestDecompositionOracle:
             assert family.clusters == clusters
             assert family.certificates == certificates
             assert family.phases == phases
+
+
+def _dense_family():
+    g = overlapping_groups(250, 100, seed=5)
+    return g, tightly_knit_decomposition(g)
+
+
+def _mutate_certificate(idx, fields):
+    def mutate(family):
+        certs = list(family.certificates)
+        certs[idx] = replace(certs[idx], **fields(certs[idx]))
+        return replace(family, certificates=certs)
+    return mutate
+
+
+class TestVerificationReports:
+    """Each kind of wrong family gives its own violation, and only it."""
+
+    def test_unmutated_family_is_ok(self):
+        g, family = _dense_family()
+        assert len(family.clusters) > 3
+        assert all(c.size >= 3 for c in family.certificates[:3])
+        check = verify_tightly_knit(g, family)
+        assert check.ok and check.violations == []
+        assert check.recomputed_capture == family.captured_triangle_fraction
+
+    @pytest.mark.parametrize("mutate, want", [
+        (lambda f: replace(f, total_triangles=f.total_triangles + 1),
+         ["total triangle count mismatch"]),
+        (_mutate_certificate(0, lambda c: {"edge_count": c.edge_count - 1}),
+         ["cluster 0 edge count drifted"]),
+        (_mutate_certificate(1, lambda c: {
+            "triangle_count": c.triangle_count + 1}),
+         ["cluster 1 triangle count drifted"]),
+        (_mutate_certificate(2, lambda c: {"rho_edge": c.rho_edge * 1.001}),
+         ["cluster 2 rho_edge mismatch"]),
+        (_mutate_certificate(1, lambda c: {"rho_tri": None}),
+         ["cluster 1 rho_tri definedness mismatch"]),
+        (lambda f: replace(f, captured_triangle_fraction=(
+            f.captured_triangle_fraction * 0.99)),
+         ["captured fraction mismatch"]),
+    ], ids=["total", "edge_count", "triangle_count", "rho_edge",
+            "rho_tri_none", "captured"])
+    def test_mutation_gives_its_message(self, mutate, want):
+        g, family = _dense_family()
+        check = verify_tightly_knit(g, mutate(family))
+        assert not check.ok
+        assert check.violations == want
+
+    def test_repeated_cluster_overlaps(self):
+        g, family = _dense_family()
+        k = len(family.clusters)
+        first = family.clusters[0]
+        twice = replace(family, clusters=[*family.clusters, first],
+                        certificates=[*family.certificates,
+                                      family.certificates[0]])
+        check = verify_tightly_knit(g, twice)
+        assert check.violations == [
+            f"cluster {k} overlaps earlier ones: {sorted(first)}",
+            "captured fraction mismatch"]
+
+    def test_disconnected_cluster_has_radius_beyond_two(self):
+        # two triangles certified as one cluster: every count is right,
+        # but no vertex reaches the other triangle
+        g = disjoint_union(complete_graph(3), complete_graph(3))
+        cert = ClusterCertificate(
+            vertices=tuple(range(6)), size=6, edge_count=6, triangle_count=2,
+            radius=7, rho_edge=6 / 15, rho_tri=2 / 20)
+        family = TightlyKnitFamily(
+            clusters=[tuple(range(6))], certificates=[cert],
+            captured_triangle_fraction=1.0, epsilon=0.25, total_triangles=2)
+        check = verify_tightly_knit(g, family)
+        assert check.violations == ["cluster 0 has radius 7 > 2"]
 
 
 def radius_one_candidates(g: Graph) -> list[tuple[int, int]]:
