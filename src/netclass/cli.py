@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except (DatasetError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"netclass: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("netclass: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -272,14 +272,31 @@ def enumerate_maximal_cliques(g: Graph,
     return CliqueSet._from_flat(members, ends)
 
 
+def _local_bitsets(g: Graph):
+    """``(v, nbrs, later, bits)`` per vertex v in degeneracy order, on
+    Python-int bitsets local to v: bit i stands for ``nbrs[i]``, v's i-th
+    smallest neighbor; ``later`` holds the neighbors after v in the order
+    and ``bits[i]`` those adjacent to ``nbrs[i]``."""
+    og = degeneracy_ordering(g)
+    ptr, idx, rank = g.indptr.tolist(), g.indices.tolist(), og.rank.tolist()
+    rows = [idx[ptr[v]:ptr[v + 1]] for v in range(g.n)]
+    place = [0] * g.n  # 1 << i at v's i-th neighbor, 0 elsewhere
+    for v in og.order.tolist():
+        nbrs, rv, later = rows[v], rank[v], 0
+        for i, w in enumerate(nbrs):
+            place[w] = 1 << i
+            if rank[w] > rv:
+                later |= 1 << i
+        # the bits are distinct, so their sum is their union
+        bits = [sum(map(place.__getitem__, rows[w])) for w in nbrs]
+        for w in nbrs:
+            place[w] = 0
+        yield v, nbrs, later, bits
+
+
 def _bron_kerbosch(g: Graph, emit) -> None:
     """Call ``emit`` on each maximal clique, an ascending tuple, in
     ``enumerate_maximal_cliques``'s emission order."""
-    og = degeneracy_ordering(g)
-    rows = [g.neighbors(v).tolist() for v in range(g.n)]
-    rank = og.rank.tolist()
-    place = [0] * g.n  # 1 << i at v's i-th neighbor, 0 elsewhere
-
     def expand(r: list[int], p: int, x: int) -> None:
         if not p:
             if not x:
@@ -303,16 +320,7 @@ def _bron_kerbosch(g: Graph, emit) -> None:
             cand ^= low
 
     # expand reads nbrs and bits of the outer vertex in hand
-    for v in og.order.tolist():
-        nbrs, rv, later = rows[v], rank[v], 0
-        for i, w in enumerate(nbrs):
-            place[w] = 1 << i
-            if rank[w] > rv:
-                later |= 1 << i
-        # the bits are distinct, so their sum is their union
-        bits = [sum(map(place.__getitem__, rows[w])) for w in nbrs]
-        for w in nbrs:
-            place[w] = 0
+    for v, nbrs, later, bits in _local_bitsets(g):
         expand([v], later, ((1 << len(nbrs)) - 1) ^ later)
 
 
@@ -321,36 +329,27 @@ def maximum_clique(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> tuple[int, 
     return enumerate_maximal_cliques(g, budget=budget).largest()
 
 
-def enumerate_all_cliques(g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET,
-                          sink=None) -> int:
-    """Count every non-empty clique, optionally streaming each one.
-
-    Works vertex by vertex in degeneracy order, extending cliques only
-    into out-neighborhoods, so each clique is generated exactly once
-    (at its earliest vertex) and the work is O(n * 2^degeneracy).
+def enumerate_all_cliques(g: Graph,
+                          budget: int = DEFAULT_CLIQUE_BUDGET) -> int:
+    """Count every non-empty clique once, at its earliest vertex in
+    degeneracy order: it grows only into later neighbors, on the bitsets
+    ``enumerate_maximal_cliques`` walks. The work is O(n * 2^degeneracy).
     """
     _check_budget(budget)
-    og = degeneracy_ordering(g)
-    out_adj = [set(og.out_neighbors(v).tolist()) for v in range(g.n)]
     count = 0
 
-    def emit(members: list[int]) -> None:
+    def grow(p: int) -> None:
+        # one clique here; each bit of p extends it into the bits after it
         nonlocal count
         count += 1
         if count > budget:
             raise BudgetExceededError(budget, "cliques")
-        if sink is not None:
-            sink(tuple(sorted(members)))
-
-    def grow(members: list[int], cand: set[int]) -> None:
-        for w in sorted(cand):
-            members.append(w)
-            emit(members)
-            grow(members, cand & out_adj[w])
-            members.pop()
+        while p:
+            low = p & -p
+            p ^= low
+            grow(p & bits[low.bit_length() - 1])
 
     with _recursion_as_value_error():
-        for v in range(g.n):
-            emit([v])
-            grow([v], out_adj[v])
+        for _, _, later, bits in _local_bitsets(g):
+            grow(later)
     return count

@@ -44,7 +44,6 @@ class TailFit:
     c: float | None
     slope: float | None
     r_squared: float | None
-    points: list[tuple[int, float]]
 
 
 def _require_connected(g: Graph) -> None:
@@ -156,7 +155,7 @@ class BctReport:
 def _fit_tail(tail: list[tuple[int, float]]) -> TailFit:
     pts = [(gamma, frac) for gamma, frac in tail if frac > 0]
     if len(pts) < 2:
-        return TailFit(c=None, slope=None, r_squared=None, points=pts)
+        return TailFit(c=None, slope=None, r_squared=None)
     xs = np.array([p[0] for p in pts], dtype=np.float64)
     ys = np.log(np.array([p[1] for p in pts], dtype=np.float64))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -165,7 +164,7 @@ def _fit_tail(tail: list[tuple[int, float]]) -> TailFit:
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else None
     c = float(np.exp(-slope)) if slope < 0 else None
-    return TailFit(c=c, slope=float(slope), r_squared=r2, points=pts)
+    return TailFit(c=c, slope=float(slope), r_squared=r2)
 
 
 def bct_properties_report(g: Graph, sample_pairs: int = 10_000,

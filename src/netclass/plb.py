@@ -137,6 +137,8 @@ def fit_gamma(dd: DegreeDistribution, gammas=None,
         if best is None or objective < best.objective:
             best = GammaFit(gamma=float(gamma), shift=shift, fit=fit,
                             objective=objective)
+    if best is None:
+        raise ValueError("gamma grid is empty")
     return best
 
 

@@ -345,6 +345,18 @@ class TestContracts:
         assert captured.out == ""
         assert captured.err.startswith("netclass: Out of range float values")
 
+    def test_memory_error_exit_1(self, capsys, monkeypatch, k4_file):
+        # stands in for an allocation beyond memory, such as the samples
+        # of `bct --samples 1000000000000`: whether a real one fails at
+        # once depends on the host's overcommit policy
+        def exhausted(g, sample_pairs, rng_seed):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setattr(cli, "bct_properties_report", exhausted)
+        assert main(["bct", k4_file, "--samples", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "netclass: out of memory\n"
+
     @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "-1", "0"])
     def test_report_budget_seconds_usage_error(self, capsys, k4_file, value):
         with pytest.raises(SystemExit) as exc:
@@ -495,6 +507,7 @@ FRONT_END = {"netclass", "netclass.cli", "netclass.errors"}
 SUBCOMMAND_MODULES = [
     (["closure"], {"graph", "closure"}),
     (["cliques"], {"graph", "cliques"}),
+    (["cliques", "--count-all"], {"graph", "cliques"}),
     (["triangle"], {"graph", "cliques", "triangles"}),
     (["tkf"], {"graph", "triangles"}),
     (["plb"], {"graph", "plb"}),

@@ -401,14 +401,32 @@ class TestEnumerateAllCliques:
         for g in random_graph_stream(25, 14, seed=107):
             assert enumerate_all_cliques(g) == len(brute_all_cliques(g))
 
-    def test_sink_receives_each_clique_once(self):
-        got = []
-        enumerate_all_cliques(complete_graph(3), sink=got.append)
-        assert sorted(got) == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    @pytest.mark.parametrize("g, total", [
+        (Graph.from_edges([], n=0), 0),
+        (Graph.from_edges([], n=5), 5),
+        *[(complete_graph(k), 2 ** k - 1) for k in range(1, 9)],
+        *[(star_graph(k), 2 * k + 1) for k in (1, 2, 5, 9)],
+        (complete_multipartite([2] * 4), 80),
+        (moon_moser(9), 63),
+    ])
+    def test_closed_form_counts(self, g, total):
+        # K_k: every non-empty subset; K_{1,k}: k + 1 vertices and k
+        # edges; a complete multipartite graph: one choice of at most
+        # one vertex per part, so 3^4 - 1 and 4^3 - 1 here
+        assert enumerate_all_cliques(g) == total
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_all_cliques(complete_graph(10), budget=100)
+
+    def test_budget_trips_at_budget_plus_one(self):
+        for g in [complete_graph(6), moon_moser(9), star_graph(4),
+                  hub_graph()]:
+            total = len(brute_all_cliques(g))
+            assert enumerate_all_cliques(g, budget=total) == total
+            message = f"^cliques budget of {total - 1} exceeded$"
+            with pytest.raises(BudgetExceededError, match=message):
+                enumerate_all_cliques(g, budget=total - 1)
 
 
 class TestCountBounds:

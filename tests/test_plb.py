@@ -175,6 +175,11 @@ class TestFitGamma:
         assert 1.0 < chosen.gamma <= 5.0
         assert chosen.fit.c_plb > 0
 
+    @pytest.mark.parametrize("gammas", [[], np.array([])])
+    def test_empty_grid_rejected(self, gammas):
+        with pytest.raises(ValueError, match="^gamma grid is empty$"):
+            fit_gamma(dd_from_counts([0, 4, 2]), gammas=gammas)
+
 
 class TestDiagnostics:
     def test_tree_degeneracy_ratio_small(self):

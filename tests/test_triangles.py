@@ -420,8 +420,19 @@ class TestVerificationReports:
         (lambda f: replace(f, captured_triangle_fraction=(
             f.captured_triangle_fraction * 0.99)),
          ["captured fraction mismatch"]),
+        (lambda f: replace(f, certificates=[
+            replace(f.certificates[0], vertices=f.certificates[1].vertices),
+            *f.certificates[1:]]),
+         ["cluster 0 vertices drifted"]),
+        (_mutate_certificate(1, lambda c: {"size": c.size + 1}),
+         ["cluster 1 size drifted"]),
+        (_mutate_certificate(2, lambda c: {"radius": 5}),
+         ["cluster 2 radius drifted"]),
+        (lambda f: replace(f, certificates=f.certificates[:-1]),
+         ["13 certificates for 14 clusters"]),
     ], ids=["total", "edge_count", "triangle_count", "rho_edge",
-            "rho_tri_none", "captured"])
+            "rho_tri_none", "captured", "vertices", "size", "radius",
+            "missing_certificate"])
     def test_mutation_gives_its_message(self, mutate, want):
         g, family = _dense_family()
         check = verify_tightly_knit(g, mutate(family))
