@@ -281,6 +281,7 @@ def _local_bitsets(g: Graph):
     ptr, idx, rank = g.indptr.tolist(), g.indices.tolist(), og.rank.tolist()
     rows = [idx[ptr[v]:ptr[v + 1]] for v in range(g.n)]
     place = [0] * g.n  # 1 << i at v's i-th neighbor, 0 elsewhere
+    at = place.__getitem__
     for v in og.order.tolist():
         nbrs, rv, later = rows[v], rank[v], 0
         for i, w in enumerate(nbrs):
@@ -288,7 +289,7 @@ def _local_bitsets(g: Graph):
             if rank[w] > rv:
                 later |= 1 << i
         # the bits are distinct, so their sum is their union
-        bits = [sum(map(place.__getitem__, rows[w])) for w in nbrs]
+        bits = [sum(map(at, rows[w])) for w in nbrs]
         for w in nbrs:
             place[w] = 0
         yield v, nbrs, later, bits

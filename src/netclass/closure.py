@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pair_blocks, sorted_unique, wedge_count
+from .graph import Graph, _pair_blocks, sorted_unique, spans, wedge_count
 
 # pair indices are int32 slots
 MAX_OPEN_PAIRS = int(np.iinfo(np.int32).max)
@@ -62,10 +62,10 @@ def is_c_good(g: Graph, v: int, c: int) -> bool:
     g.check_vertex(v)
     if c < 1:
         raise ValueError("c must be a positive integer")
-    counts = np.zeros(g.n, dtype=np.int64)
-    for w in g.neighbors(v):
-        counts[g.neighbors(w)] += 1
-    counts[g.neighbors(v)] = 0
+    nbrs = g.neighbors(v)
+    counts = np.bincount(g.indices[spans(g.indptr[nbrs], g.degrees[nbrs])],
+                         minlength=g.n)
+    counts[nbrs] = 0
     counts[v] = 0
     return bool(counts.max(initial=0) <= c - 1)
 

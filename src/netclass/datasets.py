@@ -83,7 +83,6 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
             f"unknown dataset {name!r}; known: {', '.join(sorted(manifest))}")
     entry = manifest[name]
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{name}.txt"
     from_cache = path.exists()
     if not from_cache:
@@ -96,6 +95,7 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
                 f"could not retrieve {name} from {entry['url']}: {exc}") from exc
         if payload[:2] == b"\x1f\x8b":
             payload = gzip.decompress(payload)
+        cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(payload)
         tmp.replace(path)

@@ -33,6 +33,14 @@ def row_pointers(heads: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + counts[i] - 1``, span after span."""
+    ends = np.cumsum(counts)
+    pos = np.repeat(starts - ends + counts, counts)
+    pos += np.arange(pos.size)
+    return pos
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)``: the sorted distinct values, same dtype.
 
@@ -156,19 +164,18 @@ class Graph:
                                   n=self.n, m=self.m)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Subgraph on the given vertex set; labels compose."""
+        """Subgraph on the given vertex set, from its own rows; labels compose."""
         S = sorted_unique(np.asarray(list(vertices), dtype=np.int64))
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex out of range in induced subgraph")
-        keep = np.zeros(self.n, dtype=bool)
-        keep[S] = True
         newid = np.full(self.n, -1, dtype=np.int64)
         newid[S] = np.arange(S.size)
-        heads = np.repeat(np.arange(self.n), self.degrees)
-        emask = keep[heads] & keep[self.indices]
-        h, t = newid[heads[emask]], newid[self.indices[emask]]
-        # heads were ascending and within-row targets sorted, so CSR order holds
-        return Graph(S.size, row_pointers(h, S.size), t, labels=self.labels[S])
+        deg = self.degrees[S]
+        t = newid[self.indices[spans(self.indptr[S], deg)]]  # -1: outside S
+        keep = t >= 0
+        h = np.repeat(np.arange(S.size), deg)[keep]
+        # S is ascending and within-row targets sorted, so CSR order holds
+        return Graph(S.size, row_pointers(h, S.size), t[keep], labels=self.labels[S])
 
     def validate(self) -> None:
         """Check simplicity and symmetry; raises AssertionError on violation."""
@@ -350,9 +357,7 @@ def _pair_blocks(g: Graph):
         lo, hi = indptr[a], indptr[b]
         reps = above[lo:hi]
         # path j of slot s is indices[back[s] + 1 + j]
-        pos = np.arange(slot_paths[lo], slot_paths[hi])
-        pos += np.repeat(back[lo:hi] + 1 - slot_paths[lo:hi], reps)
-        keys = indices[pos]
+        keys = indices[spans(back[lo:hi] + 1, reps)]
         keys += np.repeat(heads[lo:hi] * n, reps)
         keys, count = np.unique(keys, return_counts=True)
         # the block's edges u < w, sorted as the rows are
@@ -497,19 +502,12 @@ def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
 
 def _next_level(g: Graph, frontier: np.ndarray,
                 unseen: np.ndarray) -> np.ndarray:
-    """Ascending unseen neighbors of a non-empty frontier.
-
-    The frontier's CSR rows are gathered in one pass: gathered slot j is
-    ``indices[j + shift]``, with the shift constant along each row. The
-    neighbors are marked in a boolean array, then masked by ``unseen``.
-    """
+    """Ascending unseen neighbors of a frontier, which may be empty: the
+    frontier's CSR rows, gathered in one pass by ``spans``, are marked in
+    a boolean array, then masked by ``unseen``."""
     starts = g.indptr[frontier]
-    counts = g.indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    shift = np.repeat(starts - ends + counts, counts)
-    shift += np.arange(ends[-1])
     reach = np.zeros(g.n, dtype=bool)
-    reach[g.indices[shift]] = True
+    reach[g.indices[spans(starts, g.indptr[frontier + 1] - starts)]] = True
     reach &= unseen
     return np.flatnonzero(reach)
 

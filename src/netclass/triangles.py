@@ -10,7 +10,7 @@ Jaccard cleaner with a max-degree extractor until no edges remain.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -372,10 +372,11 @@ def verify_tightly_knit(g: Graph,
                         family: TightlyKnitFamily) -> FamilyVerification:
     """Re-derive every certificate of a family from scratch.
 
-    Checks disjointness, the total, one certificate per cluster, and each
-    cluster against its own ``_certificate`` built with the oriented
-    counter, a route other than construction's pair-walk fold: radius at
-    most 2, every field, and the captured fraction.
+    Checks that clusters are disjoint and repeat no vertex, the total,
+    one certificate per cluster, and each cluster against its own
+    ``_certificate`` built with the oriented counter, a route other than
+    construction's pair-walk fold: radius at most 2, every field, and
+    the captured fraction.
     """
     violations: list[str] = []
     seen: set[int] = set()
@@ -383,6 +384,9 @@ def verify_tightly_knit(g: Graph,
         overlap = seen.intersection(members)
         if overlap:
             violations.append(f"cluster {idx} overlaps earlier ones: {sorted(overlap)}")
+        repeats = sorted(v for v, k in Counter(members).items() if k > 1)
+        if repeats:
+            violations.append(f"cluster {idx} repeats vertices {repeats}")
         seen.update(members)
 
     recomputed_total = triangle_count_oriented(g).triangle_count

@@ -149,6 +149,20 @@ def brute_all_pairs_dist(g: Graph) -> np.ndarray:
     return dist
 
 
+def brute_induced_subgraph(g: Graph, vertices) -> tuple[list, list, list]:
+    """``indptr``, ``indices`` and ``labels`` of the subgraph on a vertex
+    set, renumbered in ascending order, from plain adjacency sets."""
+    keep = sorted(set(vertices))
+    new = {v: i for i, v in enumerate(keep)}
+    adj = adjacency_sets(g)
+    rows = [sorted(new[w] for w in adj[v] if w in new) for v in keep]
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [w for row in rows for w in row], \
+        [int(g.labels[v]) for v in keep]
+
+
 def brute_components(g: Graph) -> list[int]:
     """Component labels numbered by each component's smallest vertex,
     found by a deque BFS over plain adjacency sets."""

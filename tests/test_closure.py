@@ -7,8 +7,9 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  moon_moser, path_graph, star_graph)
 from netclass.graph import Graph
 
-from conftest import (adjacency_sets, brute_c_closure, brute_weak_closure,
-                      brute_weak_closure_order, csr_star, random_graph_stream)
+from conftest import (adjacency_sets, brute_c_closure, brute_common_neighbors,
+                      brute_weak_closure, brute_weak_closure_order, csr_star,
+                      random_graph_stream)
 
 
 class TestCClosure:
@@ -59,6 +60,16 @@ class TestIsCGood:
     def test_square_corner_not_2_good(self):
         assert not is_c_good(cycle_graph(4), 0, 2)
         assert is_c_good(cycle_graph(4), 0, 3)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    def test_matches_common_neighbor_oracle(self, c):
+        for g in random_graph_stream(25, 18, seed=40 + c):
+            adj = adjacency_sets(g)
+            for v in range(g.n):
+                want = all(brute_common_neighbors(g, u, v) <= c - 1
+                           for u in range(g.n)
+                           if u != v and u not in adj[v])
+                assert is_c_good(g, v, c) == want
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

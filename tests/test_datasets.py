@@ -72,6 +72,14 @@ class TestFetchDataset:
         with pytest.raises(DatasetError, match="could not retrieve"):
             fetch_dataset("gone", cache_dir=tmp_path / "c", manifest=manifest)
 
+    def test_failed_fetch_creates_no_cache_dir(self, tmp_path):
+        manifest = {"gone": {"url": (tmp_path / "missing.gz").as_uri(),
+                             "nodes": 1, "edges": 0, "directed": False}}
+        cache = tmp_path / "new" / "cache"
+        with pytest.raises(DatasetError, match="could not retrieve"):
+            fetch_dataset("gone", cache_dir=cache, manifest=manifest)
+        assert not (tmp_path / "new").exists()
+
     def test_real_manifest_entries_complete(self):
         assert set(MANIFEST) == {"email-Enron", "p2p-Gnutella04", "wiki-Vote",
                                  "ca-GrQc"}

@@ -16,11 +16,13 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             common_neighbors, connected_components,
                             jaccard_similarity, largest_component,
-                            load_edge_list, sorted_unique, wedge_count)
+                            load_edge_list, sorted_unique, spans,
+                            wedge_count)
 
 from conftest import (adjacency_sets, brute_all_pairs_dist,
                       brute_c_closure, brute_common_neighbors,
-                      brute_components, brute_load_edge_list, brute_wedges,
+                      brute_components, brute_induced_subgraph,
+                      brute_load_edge_list, brute_wedges,
                       brute_weak_closure_order, random_graph_stream)
 
 
@@ -596,6 +598,52 @@ class TestInducedSubgraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             complete_graph(3).induced_subgraph([0, 7])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_definition(self, seed):
+        # isolated vertices at both ends of the CSR and inside it
+        rng = np.random.default_rng(seed)
+        n = 40
+        isolated = [0, 1, 17, 38, 39]
+        live = np.setdiff1d(np.arange(n), isolated)
+        pairs = rng.choice(live, size=(90, 2))
+        g = Graph.from_edges(pairs, n=n,
+                             labels=rng.permutation(10 * n)[:n] * 7 - 3)
+        assert all(g.degree(v) == 0 for v in isolated)
+        subset = rng.permutation(n)[:int(rng.integers(1, n))]
+        for vertices in [subset.tolist(),                   # unsorted
+                         np.repeat(rng.permutation(n), 2),  # all repeated
+                         [], range(n), isolated,
+                         np.concatenate([subset, subset[::-1]])]:
+            sub = g.induced_subgraph(vertices)
+            sub.validate()
+            indptr, indices, labels = brute_induced_subgraph(
+                g, [int(v) for v in vertices])
+            assert sub.indptr.tolist() == indptr
+            assert sub.indices.tolist() == indices
+            assert sub.labels.tolist() == labels
+
+
+class TestSpans:
+    def test_spans_in_order(self):
+        got = spans(np.array([5, 0, 9]), np.array([2, 1, 3]))
+        assert got.tolist() == [5, 6, 0, 9, 10, 11]
+
+    def test_zero_counts_give_no_positions(self):
+        got = spans(np.array([3, 7, 1, 4]), np.array([0, 2, 0, 0]))
+        assert got.tolist() == [7, 8]
+        assert spans(np.array([3, 7]), np.array([0, 0])).size == 0
+
+    def test_empty_input(self):
+        empty = np.array([], dtype=np.int64)
+        got = spans(empty, empty)
+        assert got.size == 0 and got.dtype.kind == "i"
+
+    def test_empty_frontier_has_no_next_level(self):
+        g = cycle_graph(5)
+        step = graph_module._next_level(g, np.array([], dtype=np.int64),
+                                        np.ones(g.n, dtype=bool))
+        assert step.size == 0
 
 
 class TestDegreeDistribution:

@@ -12,8 +12,8 @@ from netclass.generators import (complete_graph, complete_multipartite,
                                  star_graph)
 from netclass.graph import Graph, bfs_levels, jaccard_similarity, wedge_count
 from netclass.triangles import (ClusterCertificate, PhaseLog,
-                                TightlyKnitFamily, _radius, clean, extract,
-                                tightly_knit_decomposition,
+                                TightlyKnitFamily, _certificate, _radius,
+                                clean, extract, tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
@@ -386,6 +386,16 @@ def _dense_family():
     return g, tightly_knit_decomposition(g)
 
 
+def _repeat_last_vertex(family):
+    """Cluster 0 lists its last vertex twice, certified by the
+    ``_certificate`` of that list, so every field and density agrees."""
+    cluster = (*family.clusters[0], family.clusters[0][-1])
+    own = _certificate(overlapping_groups(250, 100, seed=5),
+                       np.array(cluster, dtype=np.int64))
+    return replace(family, clusters=[cluster, *family.clusters[1:]],
+                   certificates=[own, *family.certificates[1:]])
+
+
 def _mutate_certificate(idx, fields):
     def mutate(family):
         certs = list(family.certificates)
@@ -430,9 +440,10 @@ class TestVerificationReports:
          ["cluster 2 radius drifted"]),
         (lambda f: replace(f, certificates=f.certificates[:-1]),
          ["13 certificates for 14 clusters"]),
+        (_repeat_last_vertex, ["cluster 0 repeats vertices [247]"]),
     ], ids=["total", "edge_count", "triangle_count", "rho_edge",
             "rho_tri_none", "captured", "vertices", "size", "radius",
-            "missing_certificate"])
+            "missing_certificate", "repeated_vertex"])
     def test_mutation_gives_its_message(self, mutate, want):
         g, family = _dense_family()
         check = verify_tightly_knit(g, mutate(family))
