@@ -420,29 +420,37 @@ def closure_rate_curve(g: Graph) -> ClosureRateCurve:
 
 @dataclass
 class BfsLevels:
-    """Distances from one source, or from a block of sources.
+    """Distances from one source, or level sizes and pair distances from
+    a block of sources.
 
     For one source, ``dist`` has shape (n,) and ``level_sizes`` (L,).
-    For a block, row i of ``dist`` (S, n) and of ``level_sizes`` (S, L)
-    belongs to the i-th source, and a row's sizes are zero past that
-    source's eccentricity, which is the row's largest distance.
+    For a block of S sources, row i of ``level_sizes`` (S, L) belongs to
+    the i-th source and is zero past that source's eccentricity, which
+    is its number of non-empty levels minus 1; ``dist`` holds one
+    distance per requested pair, in the order the pairs were given.
     """
 
     dist: np.ndarray              # int64, -1 where unreachable
     level_sizes: np.ndarray       # level_sizes[l] = |{v : dist(source, v) = l}|
 
 
-def bfs_levels(g: Graph, source: int | np.ndarray) -> BfsLevels:
+def bfs_levels(g: Graph, source: int | np.ndarray,
+               pairs: tuple[np.ndarray, np.ndarray] | None = None) -> BfsLevels:
     """Level-synchronized BFS from one source or a block of sources.
 
     An integer source takes one ``_next_level`` step per level, which
     marks the frontier's neighbors in a boolean array, so no level
     sorts. A 1-D array of 1 to ``BFS_BLOCK`` sources runs all of them in
-    one bit-parallel pass (``_bfs_block``); row i of its result equals
-    the integer call for ``source[i]``, level sizes zero-padded.
+    one bit-parallel pass (``_bfs_block``); row i of its level sizes
+    equals the integer call's for ``source[i]``, zero-padded. A block
+    reads distances only at ``pairs = (rows, targets)``: entry j of its
+    ``dist`` is the distance from ``source[rows[j]]`` to ``targets[j]``,
+    the same as the integer call's, and is empty without pairs.
     """
     if np.ndim(source) != 0:
-        return _bfs_block(g, np.asarray(source))
+        return _bfs_block(g, np.asarray(source), pairs)
+    if pairs is not None:
+        raise ValueError("pairs are read only from a block of sources")
     g.check_vertex(source)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     unseen = np.ones(g.n, dtype=bool)
@@ -456,14 +464,17 @@ def bfs_levels(g: Graph, source: int | np.ndarray) -> BfsLevels:
     return BfsLevels(dist, np.array(sizes, dtype=np.int64))
 
 
-def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
+def _bfs_block(g: Graph, sources: np.ndarray,
+               pairs: tuple[np.ndarray, np.ndarray] | None) -> BfsLevels:
     """Bit-parallel BFS: bit i of vertex v's word stands for sources[i].
 
     Each level is one pull step: every vertex ORs its neighbors'
     frontier words, masked by the words it has already seen. The
     ``reduceat`` runs over non-empty CSR rows only, since it would give
     an empty row its successor's first word and fails past the last
-    slot. A level's bits are unpacked only at the vertices it reached.
+    slot. A level's bits are unpacked only at the vertices it reached,
+    and a pair's distance is the level whose frontier word at its target
+    first holds its row's bit, so a level costs O(pairs) beyond the step.
     """
     if sources.ndim != 1 or not 1 <= sources.size <= BFS_BLOCK:
         raise ValueError(f"a source block holds 1 to {BFS_BLOCK} sources, "
@@ -473,31 +484,40 @@ def _bfs_block(g: Graph, sources: np.ndarray) -> BfsLevels:
         raise ValueError(f"invalid source in {sources.tolist()!r} for "
                          f"graph with n={g.n}")
     count = sources.size
+    rows, targets = (sources[:0],) * 2 if pairs is None \
+        else map(np.asarray, pairs)
+    if rows.ndim != 1 or rows.shape != targets.shape \
+            or not {rows.dtype.kind, targets.dtype.kind} <= set("iu") \
+            or rows.size and (min(rows.min(), targets.min()) < 0
+                              or rows.max() >= count or targets.max() >= g.n):
+        raise ValueError(f"pairs are two 1-D integer arrays of one length, "
+                         f"rows in [0, {count}) and targets in [0, {g.n})")
+    shift = rows.astype(np.uint64)
+    dist = np.full(rows.size, UNREACHABLE, dtype=np.int64)
     frontier = np.zeros(g.n, dtype=np.uint64)
     np.bitwise_or.at(frontier, sources,
                      np.left_shift(np.uint64(1),
                                    np.arange(count, dtype=np.uint64)))
     seen = frontier.copy()
-    rows = np.flatnonzero(np.diff(g.indptr))
-    starts = g.indptr[rows]
-    # level + 1 where reached, else 0; int32 halves the per-level traffic
-    depth = np.zeros((g.n, count), dtype=np.int32)
+    nonempty = np.flatnonzero(np.diff(g.indptr))
+    starts = g.indptr[nonempty]
     sizes = []
     reached = np.flatnonzero(frontier)
     while reached.size and len(sizes) < g.n:  # a BFS has at most n levels
+        # each bit is set in one level's frontier only, so a pair is hit once
+        dist[(frontier[targets] >> shift & np.uint64(1)).astype(bool)] = \
+            len(sizes)
         words = frontier[reached].astype("<u8").view(np.uint8)
         bits = np.unpackbits(words.reshape(-1, 8), axis=1,
                              bitorder="little")[:, :count]
         sizes.append(bits.sum(axis=0, dtype=np.int64))
-        depth[reached] += bits * np.int32(len(sizes))
         nxt = np.zeros(g.n, dtype=np.uint64)
-        nxt[rows] = np.bitwise_or.reduceat(frontier[g.indices], starts)
+        nxt[nonempty] = np.bitwise_or.reduceat(frontier[g.indices], starts)
         nxt &= ~seen
         seen |= nxt
         frontier = nxt
         reached = np.flatnonzero(frontier)
-    return BfsLevels(np.subtract(depth.T, 1, dtype=np.int64, order="C"),
-                     np.stack(sizes, axis=1))
+    return BfsLevels(dist, np.stack(sizes, axis=1))
 
 
 def _next_level(g: Graph, frontier: np.ndarray,
@@ -549,9 +569,10 @@ def connected_components(g: Graph) -> np.ndarray:
 
 
 def largest_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest connected component."""
+    """Induced subgraph on the largest connected component; the graph
+    itself when one component holds every vertex."""
     comp = connected_components(g)
-    if g.n == 0:
+    if not comp.any():
         return g
     best = np.argmax(np.bincount(comp))
     return g.induced_subgraph(np.nonzero(comp == best)[0])

@@ -66,8 +66,9 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
     """tau_s(k) and ecc(s) for every source s, and dist(src[i], dst[i]).
 
     Sources run in blocks of ``BFS_BLOCK`` consecutive vertices, one
-    bit-parallel ``bfs_levels`` call each; pairs are grouped by source
-    to read each distance off its source's block.
+    bit-parallel ``bfs_levels`` call each, which reads the distances of
+    the pairs whose source is in the block; pairs are grouped by source.
+    A source's eccentricity is its number of non-empty levels minus 1.
     """
     taus = np.empty(g.n, dtype=np.float64)
     eccs = np.empty(g.n, dtype=np.int64)
@@ -76,15 +77,14 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
     pair_dist = np.empty(src.size, dtype=np.int64)
     for lo in range(0, g.n, BFS_BLOCK):
         hi = min(lo + BFS_BLOCK, g.n)
-        levels = bfs_levels(g, np.arange(lo, hi))
+        mine = order[ptr[lo]:ptr[hi]]
+        levels = bfs_levels(g, np.arange(lo, hi), (src[mine] - lo, dst[mine]))
         hits = levels.level_sizes >= k
         hits[:, 0] = False  # tau counts from level 1
         first = hits.argmax(axis=1)  # 0 where no level qualifies
         taus[lo:hi] = np.where(first > 0, first, INF)
-        eccs[lo:hi] = levels.dist.max(axis=1)
-        mine = order[ptr[lo]:ptr[hi]]
-        pair_dist[mine] = levels.dist[src[mine] - lo, dst[mine]]
-        del levels  # free this block's rows before the next pass
+        eccs[lo:hi] = np.count_nonzero(levels.level_sizes, axis=1) - 1
+        pair_dist[mine] = levels.dist
     return taus, eccs, pair_dist
 
 

@@ -266,10 +266,10 @@ def _radius(g: Graph) -> int:
     floor = 0 if g.n <= 1 else 1 if deg.max() == g.n - 1 else 2
     best = g.n + 1
     for v in np.argsort(-deg, kind="stable").tolist():
-        dist = bfs_levels(g, v).dist
-        if dist.min() < 0:  # a vertex is unreached
+        sizes = bfs_levels(g, v).level_sizes
+        if sizes.sum() < g.n:  # a vertex is unreached
             return g.n + 1
-        best = min(best, int(dist.max()))
+        best = min(best, sizes.size - 1)
         if best == floor:
             break
     return best

@@ -518,21 +518,25 @@ class TestBfs:
 
 
 class TestBfsBlock:
-    """An array of sources runs in one bit-parallel pass; row i must
-    equal the one-source BFS from sources[i], level sizes zero-padded."""
+    """An array of sources runs in one bit-parallel pass; row i of its
+    level sizes must equal the one-source BFS from sources[i],
+    zero-padded, and its dist holds the requested pairs' distances."""
 
     @staticmethod
     def assert_rows_match(g, sources):
-        block = bfs_levels(g, np.asarray(sources))
+        # every (row, v) pair, so dist.reshape(S, n) is the whole rows
+        rows, targets = np.divmod(np.arange(len(sources) * g.n), g.n)
+        block = bfs_levels(g, np.asarray(sources), (rows, targets))
         singles = [bfs_levels(g, int(s)) for s in sources]
         width = max(one.level_sizes.size for one in singles)
         assert block.dist.dtype == np.int64
         assert block.level_sizes.dtype == np.int64
-        assert block.dist.shape == (len(sources), g.n)
+        assert block.dist.shape == (len(sources) * g.n,)
         assert block.level_sizes.shape == (len(sources), width)
+        dist = block.dist.reshape(len(sources), g.n)
         for row, one in enumerate(singles):
             sizes = one.level_sizes.tolist()
-            assert block.dist[row].tolist() == one.dist.tolist()
+            assert dist[row].tolist() == one.dist.tolist()
             assert block.level_sizes[row].tolist() == \
                 sizes + [0] * (width - len(sizes))
 
@@ -567,6 +571,42 @@ class TestBfsBlock:
         rng = np.random.default_rng(size)
         self.assert_rows_match(g, rng.permutation(130)[:size].tolist())
 
+    @pytest.mark.parametrize("size", [1, 63, 64])
+    def test_pair_subsets_match_deque_oracle(self, size):
+        # random pairs, repeats included, against the deque BFS; the
+        # isolated vertices make some pairs unreachable (-1), and each
+        # source's eccentricity is its non-empty levels minus 1
+        rng = np.random.default_rng(83 + size)
+        unreachable = 0
+        for g in random_graph_stream(20, 90, seed=89, min_n=2):
+            g = Graph.from_edges(g.edge_array() + 2, n=g.n + 5)
+            oracle = brute_all_pairs_dist(g)
+            sources = rng.choice(g.n, size=min(size, g.n), replace=False)
+            count = int(rng.integers(0, 3 * g.n))
+            rows = rng.integers(0, sources.size, size=count)
+            targets = rng.integers(0, g.n, size=count)
+            block = bfs_levels(g, sources, (rows, targets))
+            assert block.dist.tolist() == oracle[sources[rows], targets].tolist()
+            for row, s in enumerate(sources.tolist()):
+                want = np.bincount(oracle[s][oracle[s] >= 0])
+                sizes = block.level_sizes[row]
+                assert sizes[:want.size].tolist() == want.tolist()
+                assert not sizes[want.size:].any()
+                assert np.count_nonzero(sizes) - 1 == oracle[s].max()
+            unreachable += int((block.dist == -1).sum())
+        assert unreachable > 0
+
+    def test_empty_pair_list(self):
+        g = Graph.from_edges(random_graph(60, 0.08, seed=97).edge_array(),
+                             n=64)
+        sources = np.arange(64)
+        empty = np.zeros(0, dtype=np.int64)
+        full = bfs_levels(g, sources, np.divmod(np.arange(64 * 64), 64))
+        for block in (bfs_levels(g, sources, (empty, empty)),
+                      bfs_levels(g, sources)):
+            assert block.dist.shape == (0,) and block.dist.dtype == np.int64
+            assert block.level_sizes.tolist() == full.level_sizes.tolist()
+
     @pytest.mark.parametrize("sources", [list(range(65)), [], [0, 130],
                                          [-1], [[0, 1]], [0.0]])
     def test_bad_blocks_rejected(self, sources):
@@ -574,6 +614,23 @@ class TestBfsBlock:
                              n=130)
         with pytest.raises(ValueError):
             bfs_levels(g, np.asarray(sources))
+
+    @pytest.mark.parametrize("pairs", [
+        ([3], [0]), ([-1], [0]),            # a row outside the 3 sources
+        ([0], [130]), ([0, 1], [5, -1]),    # a target outside [0, n)
+        ([0, 1], [5]), ([0], [5, 6]),       # unequal lengths
+        ([0.0], [5]), ([0], [5.0]),         # not integers
+        ([[0]], [[5]]),                     # not 1-D
+    ])
+    def test_bad_pairs_rejected(self, pairs):
+        g = Graph.from_edges(random_graph(130, 0.05, seed=79).edge_array(),
+                             n=130)
+        with pytest.raises(ValueError):
+            bfs_levels(g, np.array([0, 4, 9]), tuple(map(np.asarray, pairs)))
+
+    def test_pairs_need_a_block(self):
+        with pytest.raises(ValueError):
+            bfs_levels(path_graph(4), 0, (np.array([0]), np.array([3])))
 
 
 class TestInducedSubgraph:
@@ -665,6 +722,11 @@ class TestComponents:
         comp = connected_components(g)
         assert len(set(comp.tolist())) == 3
         assert largest_component(g).n == 4
+
+    def test_connected_graph_is_not_rebuilt(self):
+        for g in (Graph.from_edges([], n=1), path_graph(5), petersen_graph(),
+                  largest_component(random_graph(80, 0.05, seed=101))):
+            assert largest_component(g) is g
 
     def test_labels_match_deque_oracle(self):
         graphs = list(random_graph_stream(40, 40, seed=13))

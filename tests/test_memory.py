@@ -1,4 +1,5 @@
-"""Memory budgets of the pair, triangle and clique layers, via tracemalloc.
+"""Memory budgets of the pair, triangle, clique and BFS-sweep layers,
+via tracemalloc.
 
 tracemalloc counts every Python and NumPy allocation, so a peak repeats
 exactly from run to run. Each bound below is linear in what the layer
@@ -16,8 +17,9 @@ from netclass import graph as graph_module
 from netclass.cliques import (EMIT_CHUNK, _bron_kerbosch,
                               enumerate_maximal_cliques)
 from netclass.closure import weak_closure_number
-from netclass.generators import moon_moser, random_graph
+from netclass.generators import moon_moser, random_connected_graph, random_graph
 from netclass.graph import closure_rate_curve, wedge_count
+from netclass.metric import bct_properties_report, eccentricities
 from netclass.triangles import triangle_count_naive
 
 # the streamed walk: per-edge arrays (heads, back, above, slot paths)
@@ -26,6 +28,13 @@ from netclass.triangles import triangle_count_naive
 SLOT_BYTES = 48
 BLOCK_PATH_BYTES = 64
 FIXED_BYTES = 64 * 1024
+# the all-sources sweep: about 20 words a vertex (its per-vertex arrays
+# and one level's unpacked bits), one word a CSR slot (the gathered
+# frontier words) and 5 words a sampled pair, each term with some
+# slack; one block's 64 x n distances alone would take 64 words a vertex
+SWEEP_VERTEX_BYTES = 8 * 24
+SWEEP_SLOT_BYTES = 8
+SWEEP_PAIR_BYTES = 8 * 8
 
 
 def traced_peak(fn) -> int:
@@ -84,3 +93,16 @@ def test_clique_count_holds_4_bytes_a_member():
     # int32 members and int64 ends, each with the array type's 1/16
     # spare capacity, and one chunk of members still held as a list
     assert count - walk <= 4.25 * members + 8.5 * cliques + 16 * EMIT_CHUNK
+
+
+def test_sweep_holds_no_distance_matrix():
+    g = random_connected_graph(5000, 2 / 5000, seed=1)
+    bct_properties_report(g, sample_pairs=1)  # numpy.random's first import
+
+    def sweep_bytes(pairs):
+        return (SWEEP_VERTEX_BYTES * g.n + SWEEP_SLOT_BYTES * 2 * g.m
+                + SWEEP_PAIR_BYTES * pairs + FIXED_BYTES)
+
+    assert 8 * 64 * g.n > sweep_bytes(10_000)
+    assert traced_peak(lambda: eccentricities(g)) <= sweep_bytes(0)
+    assert traced_peak(lambda: bct_properties_report(g)) <= sweep_bytes(10_000)

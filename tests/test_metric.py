@@ -231,9 +231,9 @@ class TestOneSweep:
         calls = []
         real = metric_mod.bfs_levels
 
-        def counted(g, sources):
+        def counted(g, sources, pairs=None):
             calls.append(np.atleast_1d(sources).tolist())
-            return real(g, sources)
+            return real(g, sources, pairs)
 
         monkeypatch.setattr(metric_mod, "bfs_levels", counted)
         for g in random_graph_stream(10, 200, seed=193):
