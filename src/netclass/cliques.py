@@ -25,33 +25,23 @@ EMIT_CHUNK = 1 << 12
 
 
 class CliqueSet:
-    """Canonically ordered maximal cliques of one graph.
+    """Maximal cliques of one graph, stored flat.
 
-    Each clique is an ascending vertex tuple; ``cliques`` is the sorted
-    list of them, so two CliqueSets over the same graph compare equal
-    regardless of emission order. The enumerator stores its cliques
-    flat, one int32 array of members and one array of clique ends, so
-    the count and ``largest()`` build no tuples; ``cliques`` (and
-    iteration) builds them on first use.
+    ``members`` is an int32 buffer and ``ends`` an int64 buffer of
+    clique ends: clique i is ``members[ends[i - 1]:ends[i]]``, an
+    ascending vertex run, and the cliques may come in any order. Both
+    enumerators fill this one store, so the count and ``largest()``
+    build no tuples. ``cliques`` (and iteration) builds them on first
+    use, as the sorted list of ascending tuples, so two CliqueSets over
+    the same graph compare equal regardless of emission order.
     """
 
     __slots__ = ("_members", "_ends", "_cliques")
 
-    def __init__(self, cliques: list[tuple[int, ...]]):
-        self._cliques = cliques
-        self._members = np.array([v for c in cliques for v in c],
-                                 dtype=np.int32)
-        self._ends = np.cumsum([len(c) for c in cliques], dtype=np.int64)
-
-    @classmethod
-    def _from_flat(cls, members: array, ends: array) -> "CliqueSet":
-        """Cliques in any order: the members of clique i are
-        members[ends[i - 1]:ends[i]], ascending."""
-        self = cls.__new__(cls)
+    def __init__(self, members: array, ends: array):
         self._members = np.frombuffer(members, dtype=np.int32)
         self._ends = np.frombuffer(ends, dtype=np.int64)
         self._cliques = None
-        return self
 
     @property
     def cliques(self) -> list[tuple[int, ...]]:
@@ -92,8 +82,11 @@ class OrientedGraph:
     """An acyclic orientation of a graph along a vertex ordering.
 
     Every undirected edge appears exactly once, directed from the
-    lower-ranked endpoint to the higher-ranked one. ``degeneracy`` is
-    populated only for min-degree removal orderings.
+    lower-ranked endpoint to the higher-ranked one. Both orientations
+    come from one builder, ``_orient``, which takes the order and
+    derives the ranks and out-neighbor rows. ``degeneracy`` and
+    ``removal_degrees`` are populated only for min-degree removal
+    orderings.
     """
 
     order: np.ndarray                    # position -> vertex
@@ -111,12 +104,17 @@ class OrientedGraph:
         return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
 
 
-def _orient_by_rank(g: Graph, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of out-neighbors when each edge points up the given ranks."""
+def _orient(g: Graph, order: np.ndarray, **removal) -> OrientedGraph:
+    """Each edge pointing up the ranks of ``order``; ``removal`` holds
+    the degeneracy fields."""
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
     heads = np.repeat(np.arange(g.n), g.degrees)
     up = rank[g.indices] > rank[heads]
     # rows stay in head order and sorted within, so the mask keeps CSR order
-    return row_pointers(heads[up], g.n), g.indices[up]
+    return OrientedGraph(order=order, rank=rank,
+                         out_indptr=row_pointers(heads[up], g.n),
+                         out_indices=g.indices[up], **removal)
 
 
 def degeneracy_ordering(g: Graph) -> OrientedGraph:
@@ -145,25 +143,15 @@ def degeneracy_ordering(g: Graph) -> OrientedGraph:
             if alive[w]:
                 degs[w] -= 1
                 heapq.heappush(heap, (degs[w], w))
-    order = np.array(order, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    indptr, indices = _orient_by_rank(g, rank)
-    return OrientedGraph(
-        order=order, rank=rank, out_indptr=indptr, out_indices=indices,
-        degeneracy=max(removal_degrees, default=0),
-        removal_degrees=np.array(removal_degrees, dtype=np.int64))
+    return _orient(g, np.array(order, dtype=np.int64),
+                   degeneracy=max(removal_degrees, default=0),
+                   removal_degrees=np.array(removal_degrees, dtype=np.int64))
 
 
 def degree_orientation(g: Graph) -> OrientedGraph:
     """Each edge directed from the lower-degree endpoint to the higher,
     ties broken lexicographically by index."""
-    order = np.argsort(g.degrees, kind="stable")
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-    indptr, indices = _orient_by_rank(g, rank)
-    return OrientedGraph(order=order, rank=rank, out_indptr=indptr,
-                         out_indices=indices, degeneracy=None)
+    return _orient(g, np.argsort(g.degrees, kind="stable"))
 
 
 # -- maximal clique enumeration -----------------------------------------
@@ -185,6 +173,29 @@ def _recursion_as_value_error():
                          f"of {sys.getrecursionlimit()}") from None
 
 
+def _clique_store(g: Graph, budget: int, walk) -> CliqueSet:
+    """Run ``walk(g, emit)`` and keep each clique it emits, an ascending
+    tuple, in one flat CliqueSet; the clique past the budget raises."""
+    _check_budget(budget)
+    # members reach the int32 buffer through a list, converted a chunk
+    # at a time: array.extend converts item by item, far slower
+    members, ends, pending = array("i"), array("q"), []
+
+    def emit(clique: tuple[int, ...]) -> None:
+        pending.extend(clique)
+        ends.append(len(members) + len(pending))
+        if len(ends) > budget:
+            raise BudgetExceededError(budget, "maximal cliques")
+        if len(pending) >= EMIT_CHUNK:
+            members.extend(array("i", pending))
+            pending.clear()
+
+    with _recursion_as_value_error():
+        walk(g, emit)
+    members.extend(array("i", pending))
+    return CliqueSet(members, ends)
+
+
 def enumerate_maximal_cliques_backtracking(
         g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueSet:
     """Per-vertex backtracking enumerator.
@@ -192,19 +203,18 @@ def enumerate_maximal_cliques_backtracking(
     For a start vertex v and history H, the candidate set N holds v plus
     every vertex adjacent to v and to all of H. If N induces a clique,
     the union of H and N is a maximal clique; otherwise recurse on each
-    w in N \\ {v}
-    with v appended to the history. Each run finds every maximal clique
-    through v; a clique is kept only at its minimum vertex, which
-    deduplicates across the outer loop.
+    w in N \\ {v} with v appended to the history. Each run finds every
+    maximal clique through v; a clique is kept only at its minimum
+    vertex, which deduplicates across the outer loop.
     """
-    _check_budget(budget)
+    return _clique_store(g, budget, _backtrack)
+
+
+def _backtrack(g: Graph, emit) -> None:
+    """Call ``emit`` on each maximal clique, an ascending tuple, as found."""
     adj = g.adjacency_sets()
     found: set[frozenset[int]] = set()
     visited: set[tuple[int, frozenset[int]]] = set()
-
-    def is_clique(vs: set[int]) -> bool:
-        need = len(vs) - 1
-        return all(len(adj[x] & vs) >= need for x in vs)
 
     def run(start: int, v: int, history: frozenset[int]) -> None:
         # different recursion orders reach identical (v, history) states;
@@ -216,26 +226,23 @@ def enumerate_maximal_cliques_backtracking(
         cand = adj[v].copy()
         for h in history:
             cand &= adj[h]
-        candidate_set = cand | {v}
-        if is_clique(candidate_set):
-            clique = frozenset(history | candidate_set)
+        members = cand | {v}
+        # N is a clique when each member sees the other len(cand)
+        if all(len(adj[x] & members) >= len(cand) for x in members):
+            clique = history | members
             # the run from `start` sees every maximal clique through it;
             # keeping only those whose minimum is `start` dedups globally
             if min(clique) == start and clique not in found:
                 found.add(clique)
-                if len(found) > budget:
-                    raise BudgetExceededError(budget, "maximal cliques")
+                emit(tuple(sorted(clique)))
             return
         new_history = history | {v}
         for w in sorted(cand):
             run(start, w, new_history)
 
-    with _recursion_as_value_error():
-        for start in range(g.n):
-            visited.clear()
-            run(start, start, frozenset())
-
-    return CliqueSet(cliques=sorted(tuple(sorted(c)) for c in found))
+    for start in range(g.n):
+        visited.clear()
+        run(start, start, frozenset())
 
 
 def enumerate_maximal_cliques(g: Graph,
@@ -252,24 +259,7 @@ def enumerate_maximal_cliques(g: Graph,
     the smallest id, and candidates are tried in ascending id, so the
     emission order, and the clique at which the budget trips, are fixed.
     """
-    _check_budget(budget)
-    # members reach the int32 buffer through a list, converted a chunk
-    # at a time: array.extend converts item by item, far slower
-    members, ends, pending = array("i"), array("q"), []
-
-    def emit(clique: tuple[int, ...]) -> None:
-        pending.extend(clique)
-        ends.append(len(members) + len(pending))
-        if len(ends) > budget:
-            raise BudgetExceededError(budget, "maximal cliques")
-        if len(pending) >= EMIT_CHUNK:
-            members.extend(array("i", pending))
-            pending.clear()
-
-    with _recursion_as_value_error():
-        _bron_kerbosch(g, emit)
-    members.extend(array("i", pending))
-    return CliqueSet._from_flat(members, ends)
+    return _clique_store(g, budget, _bron_kerbosch)
 
 
 def _local_bitsets(g: Graph):

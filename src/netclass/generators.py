@@ -118,6 +118,8 @@ def power_law_degree_sequence(n: int, gamma: float, d_max: int | None = None,
         raise ValueError("gamma must exceed 1")
     if d_max is None:
         d_max = max(2, round(n ** (1.0 / (gamma - 1))))
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     d = np.arange(1, d_max + 1, dtype=np.float64)
     weights = (d + shift) ** -gamma
     target = n * weights / weights.sum()

@@ -74,6 +74,8 @@ class Graph:
         self.m = int(len(indices) // 2)
         if labels is None:
             labels = np.arange(n, dtype=np.int64)
+        elif len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} vertices")
         self.labels = labels
         self._label_index: dict[int, int] | None = None
 

@@ -55,10 +55,12 @@ def _require_connected(g: Graph) -> None:
         raise NotConnectedError(k)
 
 
-def _first_level(sizes: np.ndarray, k: int) -> int | float:
-    """First level >= 1 with at least k vertices; infinity if none."""
-    hits = np.nonzero(sizes[1:] >= k)[0]
-    return int(hits[0]) + 1 if hits.size else INF
+def _first_levels(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first level >= 1 with at least k vertices, or infinity."""
+    hits = sizes >= k
+    hits[:, 0] = False  # tau counts from level 1
+    first = hits.argmax(axis=1)  # 0 where no level qualifies
+    return np.where(first > 0, first, INF)
 
 
 def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
@@ -79,10 +81,7 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
         hi = min(lo + BFS_BLOCK, g.n)
         mine = order[ptr[lo]:ptr[hi]]
         levels = bfs_levels(g, np.arange(lo, hi), (src[mine] - lo, dst[mine]))
-        hits = levels.level_sizes >= k
-        hits[:, 0] = False  # tau counts from level 1
-        first = hits.argmax(axis=1)  # 0 where no level qualifies
-        taus[lo:hi] = np.where(first > 0, first, INF)
+        taus[lo:hi] = _first_levels(levels.level_sizes, k)
         eccs[lo:hi] = np.count_nonzero(levels.level_sizes, axis=1) - 1
         pair_dist[mine] = levels.dist
     return taus, eccs, pair_dist
@@ -122,7 +121,8 @@ def tau(g: Graph, s: int, k: int) -> int | float:
     g.check_vertex(s)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _first_level(bfs_levels(g, s).level_sizes, k)
+    first = _first_levels(bfs_levels(g, s).level_sizes[None], k)[0]
+    return int(first) if first < INF else INF
 
 
 @dataclass

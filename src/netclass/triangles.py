@@ -138,14 +138,17 @@ def clean(g: Graph, epsilon: float,
 
     ``seeds`` restricts the initial worklist to the given edges, in the
     given order; callers must guarantee every other edge already
-    satisfies the threshold. The decomposition runs the same worklist on
-    its own adjacency sets rather than through this function.
+    satisfies the threshold. A seed with an endpoint outside the graph
+    is refused before any deletion. The decomposition runs the same
+    worklist on its own adjacency sets rather than through this function.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
     adj = g.adjacency_sets()
-    if seeds is None:
-        seeds = g.edge_array().tolist()
+    seeds = g.edge_array().tolist() if seeds is None else list(seeds)
+    for u, v in seeds:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"seed ({u}, {v}) is outside range({g.n})")
     log = _clean_sets(adj, seeds, epsilon)
     edges = [(u, w) for u in range(g.n) for w in adj[u] if u < w]
     return Graph.from_edges(edges, n=g.n, labels=g.labels), log

@@ -443,6 +443,12 @@ class TestContracts:
                 "'OPENBLAS_NUM_THREADS' in os.environ)")
         assert self._python(code).split() == ["False", "True", "False"]
 
+    def test_every_export_lives_in_its_home_module(self):
+        # the lazy name map must follow any name a refactor moves or drops
+        for name in netclass.__all__:
+            home = f"netclass.{netclass._HOME[name]}"
+            assert getattr(netclass, name).__module__ == home, name
+
     def test_no_module_imports_scipy(self):
         # NumPy is the only runtime dependency; SciPy stays a test oracle
         for path in Path(netclass.__file__).parent.glob("*.py"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -142,12 +143,20 @@ class TestWideNeighborhoods:
         assert enumerate_maximal_cliques(g).cliques == expected
 
     def test_budget_trips_at_budget_plus_one(self):
-        for g, total in [(hub_graph(), len(brute_maximal_cliques(hub_graph()))),
-                         (moon_moser_join(), 27)]:
-            assert len(enumerate_maximal_cliques(g, budget=total)) == total
-            message = f"^maximal cliques budget of {total - 1} exceeded$"
-            with pytest.raises(BudgetExceededError, match=message):
-                enumerate_maximal_cliques(g, budget=total - 1)
+        hub_total = len(brute_maximal_cliques(hub_graph()))
+        # the backtracking enumerator is exponential in the closure
+        # parameter, so it skips the 57-clique join
+        for enumerate_fn, cases in [
+                (enumerate_maximal_cliques,
+                 [(hub_graph(), hub_total), (moon_moser_join(), 27)]),
+                (enumerate_maximal_cliques_backtracking,
+                 [(hub_graph(), hub_total), (moon_moser(12), 81),
+                  (petersen_graph(), 15)])]:
+            for g, total in cases:
+                assert len(enumerate_fn(g, budget=total)) == total
+                message = f"^maximal cliques budget of {total - 1} exceeded$"
+                with pytest.raises(BudgetExceededError, match=message):
+                    enumerate_fn(g, budget=total - 1)
 
     def test_emission_order_matches_set_reference(self):
         for g in [hub_graph(), moon_moser_join(), moon_moser(12),
@@ -179,22 +188,37 @@ class TestWideNeighborhoods:
                 assert len(emitted) == budget + 1
 
 
+def flat(cliques):
+    """The flat int32 members and int64 ends of a list of cliques."""
+    return (array("i", [v for c in cliques for v in c]),
+            array("q", itertools.accumulate(map(len, cliques))))
+
+
 class TestCliqueSet:
-    def test_built_from_a_list(self):
+    def test_built_from_flat_buffers(self):
         listed = [(0, 1), (1, 2, 3), (4,)]
-        cs = CliqueSet(cliques=listed)
+        cs = CliqueSet(*flat(listed))
         assert cs.cliques == listed
         assert list(cs) == listed
         assert len(cs) == 3
-        assert cs == CliqueSet(cliques=list(listed))
-        assert cs != CliqueSet(cliques=listed[:2])
+        assert cs == CliqueSet(*flat(list(listed)))
+        assert cs != CliqueSet(*flat(listed[:2]))
+        assert cs.largest() == (1, 2, 3)
+
+    def test_unsorted_emission_order(self):
+        emitted = [(4,), (2, 5, 6), (1, 2, 3), (0, 1)]
+        cs = CliqueSet(*flat(emitted))
+        assert cs.cliques == sorted(emitted)
+        assert len(cs) == 4
+        assert cs == CliqueSet(*flat(sorted(emitted)))
+        # the smallest among the largest, not the first one emitted
         assert cs.largest() == (1, 2, 3)
 
     def test_enumerated_set_equals_sorted_list(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)], n=7)
         expected = [(0, 1, 2), (2, 3), (4,), (5, 6)]
         cs = enumerate_maximal_cliques(g)
-        assert cs == CliqueSet(cliques=expected)
+        assert cs == CliqueSet(*flat(expected))
         assert cs.cliques == expected and list(cs) == expected
         assert len(cs) == 4
 
@@ -293,7 +317,7 @@ class TestMaximumClique:
     def test_empty_clique_set_has_no_largest(self):
         message = "maximum clique of the empty graph is undefined"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            CliqueSet(cliques=[]).largest()
+            CliqueSet(array("i"), array("q")).largest()
         with pytest.raises(ValueError, match=f"^{message}$"):
             maximum_clique(Graph.from_edges([], n=0))
 

@@ -275,6 +275,14 @@ class TestFromEdges:
         self._check([], n=0)
         self._check([], n=5)
 
+    def test_labels_need_one_per_vertex(self):
+        for labels in (np.array([7]), np.arange(4)):
+            message = f"^{len(labels)} labels for 3 vertices$"
+            with pytest.raises(ValueError, match=message):
+                Graph.from_edges([(0, 1)], n=3, labels=labels)
+        g = Graph.from_edges([(0, 1)], n=3, labels=np.array([7, 8, 9]))
+        assert g.label_of(2) == 9
+
     def test_list_input(self):
         self._check([(3, 1), (1, 3), (2, 2), (0, 3), (4, 0)])
         self._check([[0, 1], [1, 2]], n=4)

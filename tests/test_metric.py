@@ -109,6 +109,16 @@ class TestTau:
                 assert values == sorted(values)
                 assert values[0] == 1  # some vertex sits at distance 1
 
+    def test_one_rule_for_tau_and_the_sweep(self):
+        for g in [path_graph(6), star_graph(5), Graph.from_edges([], n=1),
+                  *random_graph_stream(5, 25, seed=181)]:
+            for k in (1, 2, 3):
+                taus = metric_mod._sweep(g, k)[0]
+                for s in range(g.n):
+                    t = tau(g, s, k)
+                    assert type(t) is int or t == math.inf
+                    assert t == taus[s]
+
     def test_arguments_validated(self):
         with pytest.raises(ValueError):
             tau(path_graph(3), 0, 0)

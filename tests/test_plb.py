@@ -223,6 +223,12 @@ class TestGenerators:
         assert seq.sum() % 2 == 0
         assert seq.min() >= 1
 
+    def test_degree_sequence_needs_a_degree(self):
+        for d_max in (0, -3):
+            with pytest.raises(ValueError, match="^d_max must be at least 1$"):
+                power_law_degree_sequence(10, 2.5, d_max=d_max)
+        assert power_law_degree_sequence(10, 2.5, d_max=1).tolist() == [1] * 10
+
     def test_plb_graph_simple_and_reproducible(self):
         a = plb_graph(800, 2.2, seed=9)
         b = plb_graph(800, 2.2, seed=9)

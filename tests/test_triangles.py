@@ -130,6 +130,17 @@ class TestCleaner:
         with pytest.raises(ValueError):
             clean(path_graph(3), 1.5)
 
+    def test_seeds_outside_the_graph_rejected(self):
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 3)], n=4)
+        # (0, 6) would encode as 0 * 4 + 6, the key of the edge (1, 2)
+        message = r"^seed \(.*\) is outside range\(4\)$"
+        for seeds in ([(0, 6)], [(1, 3), (-1, 2)], map(tuple, [[4, 0]])):
+            with pytest.raises(ValueError, match=message):
+                clean(g, 0.9, seeds=seeds)
+        # in-range seeds from an iterator still run
+        _, log = clean(g, 0.9, seeds=map(tuple, np.array([[1, 2]])))
+        assert log == clean(g, 0.9, seeds=[(1, 2)])[1] != []
+
     def test_deletion_log_reproducible(self):
         g = next(random_graph_stream(1, 30, seed=127))
         log1 = clean(g, 0.4)[1]
