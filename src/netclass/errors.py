@@ -8,17 +8,15 @@ DEFAULT_CLIQUE_BUDGET = 10_000_000
 class ParseError(ValueError):
     """Malformed edge-list input. Carries the 1-based line number."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int):
         self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line_no}: {message}")
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration exceeded its configured output budget."""
 
-    def __init__(self, budget: int, what: str = "cliques"):
+    def __init__(self, budget: int, what: str):
         self.budget = budget
         super().__init__(f"{what} budget of {budget} exceeded")
 

@@ -87,8 +87,8 @@ class Graph:
                    labels: np.ndarray | None = None) -> "Graph":
         """Build a graph from (u, v) pairs over dense indices.
 
-        Self-loops and duplicate edges are dropped; each pair is treated
-        as an undirected edge regardless of orientation.
+        The one place that drops self-loops and repeated edges and sorts:
+        each pair is an undirected edge regardless of orientation.
         """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64)
@@ -100,17 +100,10 @@ class Graph:
             n = int(arr.max()) + 1 if arr.size else 0
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        keep = lo != hi
-        packed = sorted_unique(lo[keep] * n + hi[keep])
-        del lo, hi
-        # each edge u < w is the slots u -> w and w -> u; one sort of
-        # their keys head * n + tail puts them in CSR order
-        u, w = np.divmod(packed, n)
-        keys = np.concatenate([packed, w * n + u])
-        del packed, u, w
-        keys.sort()
+        u, w = arr[arr[:, 0] != arr[:, 1]].T
+        # each edge is the slots u -> w and w -> u; one sort of their keys
+        # head * n + tail drops repeats, reversed ones too, in CSR order
+        keys = sorted_unique(np.concatenate([u * n + w, w * n + u]))
         heads, tails = np.divmod(keys, n)
         return cls(n, row_pointers(heads, n), tails, labels)
 
@@ -180,17 +173,17 @@ class Graph:
         return Graph(S.size, row_pointers(h, S.size), t[keep], labels=self.labels[S])
 
     def validate(self) -> None:
-        """Check simplicity and symmetry; raises AssertionError on violation."""
+        """Check simplicity and symmetry; raises AssertionError, also under -O."""
         heads = np.repeat(np.arange(self.n), self.degrees)
-        assert not np.any(heads == self.indices), "self-loop present"
-        for v in range(self.n):
-            nb = self.neighbors(v)
-            assert np.all(np.diff(nb) > 0), f"row {v} not strictly sorted"
-        # rows are sorted, so the (head, tail) keys are too
+        if np.any(heads == self.indices):
+            raise AssertionError("self-loop present")
+        # the (head, tail) keys ascend strictly exactly when every row does
         keys = heads * self.n + self.indices
-        assert np.array_equal(keys, np.sort(self.indices * self.n + heads)), \
-            "adjacency not symmetric"
-        assert self.m * 2 == len(self.indices)
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if bad.size:
+            raise AssertionError(f"row {heads[bad[0]]} not strictly sorted")
+        if not np.array_equal(keys, np.sort(self.indices * self.n + heads)):
+            raise AssertionError("adjacency not symmetric")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -242,8 +235,8 @@ def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
     trailing CR is stripped with the other surrounding whitespace.
     Lines starting with ``#`` are comments; a data line holds two ids,
     each an optional ``-`` and ASCII digits within int64, split by
-    whitespace. Original ids are kept as labels; directed inputs are
-    symmetrized, self-loops and duplicate edges dropped (and counted).
+    whitespace. Original ids are kept as labels; the pairs go unchanged
+    to ``Graph.from_edges``, which drops loops and repeats (counted here).
     """
     ids = array("q")  # u0, v0, u1, v1, ...; rejects ids beyond int64
     with open(path, "rb") as fh:
@@ -281,10 +274,8 @@ def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
     # lines are self-loops (SNAP node counts include these)
     labels, dense = np.unique(np.frombuffer(ids, np.int64), return_inverse=True)
     dense = dense.reshape(-1, 2)
-    loops = dense[:, 0] == dense[:, 1]
-    # from_edges is the one place that deduplicates and sorts
-    g = Graph.from_edges(dense[~loops], n=len(labels), labels=labels)
-    n_loops = int(loops.sum())
+    g = Graph.from_edges(dense, n=len(labels), labels=labels)
+    n_loops = int(np.count_nonzero(dense[:, 0] == dense[:, 1]))
     stats = LoadStats(len(dense), n_loops, len(dense) - n_loops - g.m)
     return (g, stats) if return_stats else g
 

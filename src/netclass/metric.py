@@ -46,13 +46,15 @@ class TailFit:
     r_squared: float | None
 
 
-def _require_connected(g: Graph) -> None:
+def _require_vertices(g: Graph) -> None:
     if g.n == 0:
         raise ValueError("the graph has no vertices")
-    comp = connected_components(g)
-    k = int(comp.max()) + 1
-    if k != 1:
-        raise NotConnectedError(k)
+
+
+def _require_spanned(g: Graph, level_sizes: np.ndarray) -> None:
+    # one BFS's level sizes sum to n exactly when the graph is connected
+    if level_sizes.sum() != g.n:
+        raise NotConnectedError(int(connected_components(g).max()) + 1)
 
 
 def _first_levels(sizes: np.ndarray, k: int) -> np.ndarray:
@@ -71,6 +73,7 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
     bit-parallel ``bfs_levels`` call each, which reads the distances of
     the pairs whose source is in the block; pairs are grouped by source.
     A source's eccentricity is its number of non-empty levels minus 1.
+    Source 0's levels refuse a disconnected graph in the first block.
     """
     taus = np.empty(g.n, dtype=np.float64)
     eccs = np.empty(g.n, dtype=np.int64)
@@ -81,6 +84,8 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
         hi = min(lo + BFS_BLOCK, g.n)
         mine = order[ptr[lo]:ptr[hi]]
         levels = bfs_levels(g, np.arange(lo, hi), (src[mine] - lo, dst[mine]))
+        if lo == 0:
+            _require_spanned(g, levels.level_sizes[0])
         taus[lo:hi] = _first_levels(levels.level_sizes, k)
         eccs[lo:hi] = np.count_nonzero(levels.level_sizes, axis=1) - 1
         pair_dist[mine] = levels.dist
@@ -90,7 +95,7 @@ def _sweep(g: Graph, k: int, src: np.ndarray = _NO_PAIRS,
 def eccentricities(g: Graph) -> MetricProfile:
     """Exact per-vertex eccentricities: every vertex is a BFS source, 64
     sources to a bit-parallel pass."""
-    _require_connected(g)
+    _require_vertices(g)
     ecc = _sweep(g, 1)[1]
     return MetricProfile(eccentricity=ecc, diameter=int(ecc.max()))
 
@@ -101,10 +106,11 @@ def two_sweep(g: Graph, seed: int | None = None) -> TwoSweepResult:
     Always a lower bound on the diameter; ties in the farthest-vertex
     choice go to the smallest index.
     """
-    _require_connected(g)
+    _require_vertices(g)
     start = 0 if seed is None else seed
     g.check_vertex(start)
     first = bfs_levels(g, start)
+    _require_spanned(g, first.level_sizes)
     turn = int(np.argmax(first.dist))
     second = bfs_levels(g, turn)
     far = int(np.argmax(second.dist))
@@ -181,7 +187,7 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
     # no pair is sampled, and the report echoes the seed either way
     if rng_seed < 0:
         raise ValueError("rng_seed must be non-negative")
-    _require_connected(g)
+    _require_vertices(g)
     n = g.n
     k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly
     src = dst = _NO_PAIRS

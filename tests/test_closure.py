@@ -145,6 +145,53 @@ class TestPairStateLimits:
         assert weak_closure_number(cycle_graph(4)).weak_closure == 3
 
 
+class TestPairSlots:
+    @staticmethod
+    def _reference(keys, counts, n):
+        # per vertex, its u-side pairs, then its w-side pairs, each in
+        # pair order; the largest counts scattered with np.maximum.at
+        u, w = np.divmod(keys, n)
+        rows = [[] for _ in range(n)]
+        for ends in (u, w):
+            for i, v in enumerate(ends.tolist()):
+                rows[v].append(i)
+        best = np.zeros(n, dtype=np.int64)
+        np.maximum.at(best, u, counts)
+        np.maximum.at(best, w, counts)
+        return (np.cumsum([0] + [len(r) for r in rows]),
+                [i for r in rows for i in r], best)
+
+    def _check(self, keys, counts, n):
+        ptr, slots, best = closure_module._pair_slots(keys, counts.copy(), n)
+        want_ptr, want_slots, want_best = self._reference(keys, counts, n)
+        assert ptr.tolist() == want_ptr.tolist()
+        assert slots.dtype == np.int32 and slots.tolist() == want_slots
+        assert best.tolist() == want_best.tolist()
+
+    def test_matches_scatter_reference_on_graphs(self):
+        for g in [path_graph(3), complete_graph(4), cycle_graph(6),
+                  *random_graph_stream(30, 40, seed=71)]:
+            keys, counts = closure_module._open_pairs(g)
+            self._check(keys, counts, g.n)
+
+    def test_matches_scatter_reference_on_random_pairs(self):
+        rng = np.random.default_rng(73)
+        sides = set()  # (has a u run, has a w run) per vertex
+        for n in (2, 3, 9, 40, 200):
+            for size in (1, n // 2, 4 * n):
+                u = rng.integers(0, n - 1, size=size)
+                keys = np.unique(u * n + rng.integers(u + 1, n))
+                counts = rng.integers(1, 50, size=keys.size, dtype=np.int32)
+                self._check(keys, counts, n)
+                u, w = np.divmod(keys, n)
+                sides.update(zip((np.bincount(u, minlength=n) > 0).tolist(),
+                                 (np.bincount(w, minlength=n) > 0).tolist()))
+        assert sides == {(True, True), (True, False), (False, True),
+                         (False, False)}
+        self._check(np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=np.int32), 5)
+
+
 class TestClosureProfileInvariants:
     def test_weak_at_most_c(self):
         for g in random_graph_stream(60, 30, seed=41):

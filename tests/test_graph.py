@@ -1,6 +1,10 @@
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from conftest import (adjacency_sets, brute_all_pairs_dist,
                       brute_components, brute_induced_subgraph,
                       brute_load_edge_list, brute_wedges,
                       brute_weak_closure_order, random_graph_stream)
+
+SRC = Path(graph_module.__file__).resolve().parents[1]
 
 
 class TestLoadEdgeList:
@@ -295,14 +301,40 @@ class TestValidate:
         indices = np.array([v for r in rows for v in r], dtype=np.int64)
         return Graph(len(rows), indptr, indices)
 
-    @pytest.mark.parametrize("rows, message", [
+    BROKEN = [
         ([[1], [2], []], "not symmetric"),      # no reverse edges
         ([[2, 1], [0], [0]], "not strictly sorted"),
         ([[0, 1], [0], []], "self-loop"),
-    ], ids=["asymmetric", "unsorted-row", "self-loop"])
+    ]
+
+    @pytest.mark.parametrize("rows, message", BROKEN,
+                             ids=["asymmetric", "unsorted-row", "self-loop"])
     def test_broken_graph_rejected(self, rows, message):
         with pytest.raises(AssertionError, match=message):
             self._graph(rows).validate()
+
+    def test_rejected_under_python_O(self):
+        # -O strips assert statements, so validate must raise by itself
+        code = ("import numpy as np\n"
+                "from netclass.graph import Graph\n"
+                f"for rows in {[rows for rows, _ in self.BROKEN]!r}:\n"
+                "    ptr = np.cumsum([0] + [len(r) for r in rows])\n"
+                "    idx = np.array(sum(rows, []), dtype=np.int64)\n"
+                "    try:\n"
+                "        Graph(len(rows), ptr, idx).validate()\n"
+                "        print('accepted')\n"
+                "    except AssertionError as exc:\n"
+                "        print(exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == len(self.BROKEN)
+        for line, (_, message) in zip(lines, self.BROKEN):
+            assert message in line
 
 
 class TestSortedUnique:

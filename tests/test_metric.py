@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from netclass.cli import main
 from netclass.errors import NotConnectedError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, random_connected_graph,
                                  random_graph, random_tree, star_graph)
 from netclass.graph import Graph, largest_component
+import netclass.graph as graph_module
 import netclass.metric as metric_mod
 from netclass.metric import (_spearman, bct_properties_report,
                              eccentricity_decomposition_report,
@@ -33,9 +35,12 @@ class TestEccentricities:
         assert profile.eccentricity.tolist() == [1, 2, 2, 2, 2, 2]
 
     def test_empty_graph_rejected_as_empty(self):
-        with pytest.raises(ValueError, match="no vertices") as exc:
-            eccentricities(Graph.from_edges([], n=0))
-        assert not isinstance(exc.value, NotConnectedError)
+        # before any BFS, and before two_sweep checks its seed
+        for run in (eccentricities, lambda g: two_sweep(g, seed=5),
+                    bct_properties_report):
+            with pytest.raises(ValueError, match="no vertices") as exc:
+                run(Graph.from_edges([], n=0))
+            assert not isinstance(exc.value, NotConnectedError)
 
     def test_disconnected_rejected_with_component_count(self):
         g = disjoint_union(path_graph(3), path_graph(4), path_graph(2))
@@ -112,6 +117,11 @@ class TestTau:
     def test_one_rule_for_tau_and_the_sweep(self):
         for g in [path_graph(6), star_graph(5), Graph.from_edges([], n=1),
                   *random_graph_stream(5, 25, seed=181)]:
+            # the sweep refuses a disconnected graph in its first block
+            if largest_component(g) is not g:
+                with pytest.raises(NotConnectedError):
+                    metric_mod._sweep(g, 1)
+                g = largest_component(g)
             for k in (1, 2, 3):
                 taus = metric_mod._sweep(g, k)[0]
                 for s in range(g.n):
@@ -255,6 +265,57 @@ class TestOneSweep:
                 assert sorted(s for call in calls for s in call) == \
                     list(range(g.n))
                 assert max(map(len, calls)) <= 64
+
+
+class TestOneComponentPass:
+    """Connectivity is read from the first BFS each entry point runs;
+    components are counted only to word the error."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list[int]:
+        calls = []
+        real = graph_module.connected_components
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(graph_module, "connected_components", counted)
+        monkeypatch.setattr(metric_mod, "connected_components", counted)
+        return calls
+
+    def test_largest_cc_runs_one_pass(self, monkeypatch, tmp_path, capsys):
+        g = disjoint_union(random_connected_graph(60, 0.08, seed=5),
+                           path_graph(4))
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n"
+                                for u, v in g.edge_array().tolist()))
+        calls = self._counted(monkeypatch)
+        for argv in (["bct", "--largest-cc"], ["diameter", "--largest-cc"],
+                     ["diameter", "--exact", "--largest-cc"]):
+            calls.clear()
+            assert main([*argv, str(path)]) == 0
+            capsys.readouterr()
+            assert calls == [64], argv
+
+    def test_connected_graph_needs_no_pass(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        for g in [path_graph(1), cycle_graph(7),
+                  random_connected_graph(150, 0.03, seed=3)]:
+            eccentricities(g)
+            two_sweep(g)
+            two_sweep(g, seed=g.n - 1)
+            bct_properties_report(g, sample_pairs=20)
+        assert calls == []
+
+    def test_disconnected_graph_counted_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        g = disjoint_union(path_graph(70), cycle_graph(5), path_graph(1))
+        for run in (eccentricities, two_sweep, bct_properties_report):
+            calls.clear()
+            with pytest.raises(NotConnectedError, match="3 components"):
+                run(g)
+            assert calls == [g.n]
 
 
 class TestSpearman:
