@@ -196,10 +196,10 @@ def _pair_slots(keys: np.ndarray, counts: np.ndarray,
     slots[ptr[v]:ptr[v + 1]] holds the int32 indices of the pairs with
     endpoint v: first those with u = v, consecutive because the keys
     are sorted, then those with w = v, in pair order from a stable
-    argsort of w. The largest counts fold the u runs of the counts, then
-    the w runs of their gather by that argsort. Each transient is freed
-    before the next is allocated, so at most ``OPEN_PAIR_BYTES`` a pair
-    are live at once.
+    argsort of w. The largest counts fold the w runs of the counts'
+    gather by that argsort, then the u runs of the counts. Each
+    transient is freed before the next is allocated, so at most
+    ``OPEN_PAIR_BYTES`` a pair are live at once.
     """
     size = keys.size
     current_max = np.zeros(n, dtype=np.int64)
@@ -211,13 +211,12 @@ def _pair_slots(keys: np.ndarray, counts: np.ndarray,
     by_w = np.argsort(ends, kind="stable")
     del ends
     by_w = by_w.astype(np.int32)
-    # reduceat would give an empty run the next run's first value
-    for values, lengths in ((counts, u_count), (counts[by_w], w_count)):
-        has = np.flatnonzero(lengths)
-        starts = np.cumsum(lengths)[has] - lengths[has]
-        current_max[has] = np.maximum(current_max[has],
-                                      np.maximum.reduceat(values, starts))
-    del values
+    # the w gather dies with the tuple; reduceat would give an empty run
+    # the next run's first value, so only non-empty runs are passed
+    for values, lengths in ((counts[by_w], w_count), (counts, u_count)):
+        has = lengths > 0
+        current_max[has] = np.maximum(current_max[has], np.maximum.reduceat(
+            values, (np.cumsum(lengths) - lengths)[has]))
     runs = np.column_stack([u_count, w_count]).ravel()
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(u_count + w_count, out=ptr[1:])

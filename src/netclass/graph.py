@@ -44,16 +44,20 @@ def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)``: the sorted distinct values, same dtype.
 
-    Sorts and keeps each value that differs from its predecessor. The
-    plain ``np.unique`` call imports ``numpy.ma`` (NumPy 2.4 checks
+    The plain ``np.unique`` call imports ``numpy.ma`` (NumPy 2.4 checks
     for a masked input), which every CLI run would then load.
     """
-    out = np.sort(values, axis=None)
+    return _unique_in_place(np.array(values).ravel())
+
+
+def _unique_in_place(out: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, which is sorted in place."""
+    out.sort()
     if out.size > 1:  # the greedy's stale sets are often this small
         keep = np.empty(out.size, dtype=bool)
         keep[0] = True
         np.not_equal(out[1:], out[:-1], out=keep[1:])
-        out = out[keep]
+        out = np.compress(keep, out)
     return out
 
 
@@ -100,10 +104,10 @@ class Graph:
             n = int(arr.max()) + 1 if arr.size else 0
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        u, w = arr[arr[:, 0] != arr[:, 1]].T
-        # each edge is the slots u -> w and w -> u; one sort of their keys
-        # head * n + tail drops repeats, reversed ones too, in CSR order
-        keys = sorted_unique(np.concatenate([u * n + w, w * n + u]))
+        # the slots u -> w and w -> u of each edge, keyed head * n + tail;
+        # sorted in place, they are in CSR order with repeats side by side
+        keys = _unique_in_place((np.compress(arr[:, 0] != arr[:, 1], arr, axis=0)
+                                 @ np.array([[n, 1], [1, n]])).ravel())
         heads, tails = np.divmod(keys, n)
         return cls(n, row_pointers(heads, n), tails, labels)
 

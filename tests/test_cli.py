@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import netclass
 from netclass import cli
 from netclass.cli import main
+from netclass.errors import BudgetExceededError, NotConnectedError, ParseError
 from netclass.generators import complete_multipartite, moon_moser
 
 from conftest import csr_star, recursion_headroom
@@ -219,6 +221,23 @@ class TestContracts:
         assert main(["triangle", k4_file, "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["t"] == 4
+
+    @pytest.mark.parametrize("error, message, attrs", [
+        (ParseError("non-integer vertex id", 7),
+         "line 7: non-integer vertex id", {"line_no": 7}),
+        (BudgetExceededError(12, "maximal cliques"),
+         "maximal cliques budget of 12 exceeded", {"budget": 12}),
+        (NotConnectedError(3), "graph is disconnected (3 components); "
+         "restrict to the largest component first", {"n_components": 3}),
+    ], ids=["parse", "budget", "not_connected"])
+    def test_errors_survive_pickling(self, error, message, attrs):
+        # a multiprocessing worker hands its exception back pickled
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(error) == str(back) == message
+        assert back.args == error.args
+        for name, value in attrs.items():
+            assert getattr(back, name) == value
 
     def test_parse_error_exit_1_with_line(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

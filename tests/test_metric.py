@@ -115,8 +115,22 @@ class TestTau:
                 assert values[0] == 1  # some vertex sits at distance 1
 
     def test_one_rule_for_tau_and_the_sweep(self):
+        # an edge and a 4-vertex star: from the edge, no level holds 2
+        two_parts = Graph.from_edges([(0, 1), (2, 3), (2, 4), (2, 5)])
+        assert tau(two_parts, 0, 2) == math.inf
         for g in [path_graph(6), star_graph(5), Graph.from_edges([], n=1),
-                  *random_graph_stream(5, 25, seed=181)]:
+                  two_parts, *random_graph_stream(5, 25, seed=181)]:
+            # tau from every source, also in a small component, against
+            # level sizes counted from plain BFS distances
+            dist = brute_all_pairs_dist(g)
+            for k in (1, 2, 3, 4):
+                for s in range(g.n):
+                    sizes = np.bincount(dist[s][dist[s] >= 0])
+                    hits = np.flatnonzero(sizes[1:] >= k)
+                    want = int(hits[0]) + 1 if hits.size else math.inf
+                    t = tau(g, s, k)
+                    assert type(t) is int or t == math.inf
+                    assert t == want
             # the sweep refuses a disconnected graph in its first block
             if largest_component(g) is not g:
                 with pytest.raises(NotConnectedError):
