@@ -37,8 +37,8 @@ print("=" * 64)
 print("Heuristic exponent search (no canonical objective exists)")
 print("=" * 64)
 chosen = fit_gamma(dd)
-print(f"grid-searched gamma = {chosen.gamma:.2f} "
-      f"(c = {chosen.fit.c_plb:.3f}, heuristic = {chosen.heuristic})")
+print(f"grid-searched gamma = {chosen.fit.gamma:.2f} "
+      f"(c = {chosen.fit.c_plb:.3f})")
 
 print()
 print("=" * 64)

@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "graph": ("Graph", "DegreeDistribution", "ClosureRateCurve", "BfsLevels",
-              "load_edge_list", "common_neighbors", "jaccard_similarity",
-              "wedge_count", "closure_rate_curve", "bfs_levels",
-              "connected_components", "largest_component"),
+              "load_edge_list", "wedge_count", "closure_rate_curve",
+              "bfs_levels", "connected_components", "largest_component"),
     "closure": ("ClosureProfile", "c_closure_number", "is_c_good",
                 "weak_closure_number"),
     "cliques": ("CliqueSet", "OrientedGraph", "enumerate_maximal_cliques",

@@ -130,7 +130,7 @@ def _cmd_cliques(g: Graph, args) -> dict | None:
         return None
     if args.max:
         best = _cli.maximum_clique(g, budget=budget)
-        return {"maximum_clique": sorted(g.label_of(v) for v in best),
+        return {"maximum_clique": sorted(int(g.labels[v]) for v in best),
                 "maximum_clique_size": len(best)}
     if args.count_all:
         return {"all_cliques_count": _cli.enumerate_all_cliques(

@@ -100,9 +100,6 @@ class OrientedGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
 
 def _orient(g: Graph, order: np.ndarray, **removal) -> OrientedGraph:
     """Each edge pointing up the ranks of ``order``; ``removal`` holds

@@ -20,6 +20,7 @@ from .errors import DatasetError
 from .graph import Graph, LoadStats, load_edge_list
 
 SNAP_BASE = "https://snap.stanford.edu/data"
+FETCH_TIMEOUT_S = 120.0  # seconds a download may wait on the server
 
 #: Published statistics for the benchmark networks.
 MANIFEST: dict[str, dict] = {
@@ -70,7 +71,7 @@ def _verify(name: str, entry: dict, g: Graph,
 
 
 def fetch_dataset(name: str, cache_dir: Path | str | None = None,
-                  manifest: dict | None = None, timeout: float = 120.0) -> FetchResult:
+                  manifest: dict | None = None) -> FetchResult:
     """Download, decompress, cache, and verify a named dataset.
 
     A cached file is returned without touching the network. On a count
@@ -88,7 +89,7 @@ def fetch_dataset(name: str, cache_dir: Path | str | None = None,
     if not from_cache:
         import urllib.request  # with http.client and ssl: costly at start-up
         try:
-            with urllib.request.urlopen(entry["url"], timeout=timeout) as resp:
+            with urllib.request.urlopen(entry["url"], timeout=FETCH_TIMEOUT_S) as resp:
                 payload = resp.read()
         except (OSError, ValueError) as exc:  # URLError is an OSError
             raise DatasetError(

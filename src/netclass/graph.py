@@ -50,6 +50,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return _unique_in_place(np.array(values).ravel())
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` (an array or an iterable) as int64, not copying an int64
+    array; ValueError if a non-empty input has a non-integer dtype."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must have an integer dtype, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _unique_in_place(out: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, which is sorted in place."""
     out.sort()
@@ -64,8 +73,9 @@ def _unique_in_place(out: np.ndarray) -> np.ndarray:
 class Graph:
     """Undirected simple graph stored as sorted CSR neighbor lists.
 
-    Invariants enforced at construction: no self-loops, no duplicate
-    edges, symmetric adjacency, neighbor lists sorted ascending.
+    Invariants: no self-loops or repeated edges, symmetric adjacency,
+    ascending neighbor lists. ``from_edges`` enforces them; the constructor
+    does not, and ``validate()`` checks a hand-built CSR against them.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "labels", "_label_index")
@@ -89,13 +99,12 @@ class Graph:
     def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray,
                    n: int | None = None,
                    labels: np.ndarray | None = None) -> "Graph":
-        """Build a graph from (u, v) pairs over dense indices.
+        """Build a graph from integer (u, v) pairs over dense indices.
 
         The one place that drops self-loops and repeated edges and sorts:
         each pair is an undirected edge regardless of orientation.
         """
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        arr = _integer_array(edges, "edge endpoints")
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -117,17 +126,9 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor array of v (a view, do not mutate)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < len(nbrs) and nbrs[i] == v)
 
     def adjacency_sets(self) -> list[set[int]]:
         """A fresh list of neighbor sets, one per vertex; callers may mutate it."""
@@ -146,9 +147,6 @@ class Graph:
 
     # -- labels --------------------------------------------------------
 
-    def label_of(self, v: int) -> int:
-        return int(self.labels[v])
-
     def index_of(self, label: int) -> int:
         if self._label_index is None:
             self._label_index = {int(x): i for i, x in enumerate(self.labels)}
@@ -164,7 +162,7 @@ class Graph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertex set, from its own rows; labels compose."""
-        S = sorted_unique(np.asarray(list(vertices), dtype=np.int64))
+        S = sorted_unique(_integer_array(vertices, "vertices"))
         if S.size and (S.min() < 0 or S.max() >= self.n):
             raise ValueError("vertex out of range in induced subgraph")
         newid = np.full(self.n, -1, dtype=np.int64)
@@ -205,9 +203,6 @@ class DegreeDistribution:
     def d_max(self) -> int:
         nz = np.nonzero(self.counts)[0]
         return int(nz[-1]) if nz.size else 0
-
-    def count(self, d: int) -> int:
-        return int(self.counts[d]) if 0 <= d < len(self.counts) else 0
 
 
 # -- edge-list ingestion ----------------------------------------------
@@ -284,42 +279,13 @@ def load_edge_list(path: str | os.PathLike, return_stats: bool = False):
     return (g, stats) if return_stats else g
 
 
-# -- pairwise queries --------------------------------------------------
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)| via sorted-list intersection. Requires u != v."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        raise ValueError("common_neighbors requires two distinct vertices")
-    return int(np.intersect1d(g.neighbors(u), g.neighbors(v),
-                              assume_unique=True).size)
-
-
-def jaccard_similarity(g: Graph, u: int, v: int) -> float:
-    """Edge similarity |N(u) ∩ N(v)| / (|N(u) ∪ N(v)| - 2).
-
-    Defined for edges only. The -2 discounts u and v themselves; a
-    degenerate denominator (isolated edge) yields 0.0.
-    """
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    inter = common_neighbors(g, u, v)
-    union = g.degree(u) + g.degree(v) - inter
-    denom = union - 2
-    return inter / denom if denom > 0 else 0.0
+# -- pair blocks and closure-rate curve --------------------------------
 
 
 def wedge_count(g: Graph) -> int:
     """Number of two-hop paths: sum over vertices of C(deg, 2)."""
     d = g.degrees.astype(np.int64)
     return int((d * (d - 1) // 2).sum())
-
-
-# -- pair blocks and closure-rate curve --------------------------------
 
 
 def _pair_blocks(g: Graph):

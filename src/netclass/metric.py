@@ -32,7 +32,6 @@ class MetricProfile:
 @dataclass
 class TwoSweepResult:
     lower_bound: int
-    start: int          # seed of the first sweep
     turn: int           # farthest vertex from the seed
     far: int            # farthest vertex from the turn
 
@@ -114,8 +113,8 @@ def two_sweep(g: Graph, seed: int | None = None) -> TwoSweepResult:
     turn = int(np.argmax(first.dist))
     second = bfs_levels(g, turn)
     far = int(np.argmax(second.dist))
-    return TwoSweepResult(lower_bound=int(second.dist[far]), start=start,
-                          turn=turn, far=far)
+    return TwoSweepResult(lower_bound=int(second.dist[far]), turn=turn,
+                          far=far)
 
 
 def tau(g: Graph, s: int, k: int) -> int | float:

@@ -116,11 +116,8 @@ class GammaFit:
     """Grid-searched exponent. The objective is a heuristic: the paper
     family of definitions never fixes one for real data."""
 
-    gamma: float
-    shift: float
     fit: PlbFit
     objective: float
-    heuristic: bool = True
 
 
 def fit_gamma(dd: DegreeDistribution, gammas=None,
@@ -135,8 +132,7 @@ def fit_gamma(dd: DegreeDistribution, gammas=None,
         slacks = np.array(fit.slacks())
         objective = fit.c_plb * (1.0 + float(np.std(slacks)))
         if best is None or objective < best.objective:
-            best = GammaFit(gamma=float(gamma), shift=shift, fit=fit,
-                            objective=objective)
+            best = GammaFit(fit=fit, objective=objective)
     if best is None:
         raise ValueError("gamma grid is empty")
     return best
@@ -161,13 +157,10 @@ class PlbDiagnostics:
     n: int
     tail: list[TailPoint]
     wedges: int
-    wedges_per_n: float
-    wedges_per_nlogn: float
     degeneracy: int
     degeneracy_ratio: float        # alpha / n^(1/gamma)
     d_max: int
     d_max_ratio: float             # d_max / n^(1/(gamma-1))
-    beta: float                    # log_n(d_max), descriptive only
     sum_outdeg_sq: int
     oriented_ops_ratio: float      # sum (d+)^2 / n^(3/gamma)
 
@@ -199,15 +192,16 @@ def plb_diagnostics(g: Graph, fit: PlbFit) -> PlbDiagnostics:
     alpha = degeneracy_ordering(g).degeneracy
     dplus = degree_orientation(g).out_degrees.astype(np.int64)
     sum_sq = int((dplus ** 2).sum())
+    try:
+        d_max_ratio = d_max / n ** (1.0 / (gamma - 1.0))
+    except OverflowError:  # the power passes float range near gamma = 1
+        d_max_ratio = 0.0
     return PlbDiagnostics(
         gamma=gamma, n=n, tail=tail, wedges=w,
-        wedges_per_n=w / n,
-        wedges_per_nlogn=w / (n * math.log(n)) if n > 1 else float("nan"),
         degeneracy=alpha,
         degeneracy_ratio=alpha / n ** (1.0 / gamma),
         d_max=d_max,
-        d_max_ratio=d_max / n ** (1.0 / (gamma - 1.0)),
-        beta=math.log(d_max) / math.log(n) if n > 1 and d_max >= 1 else float("nan"),
+        d_max_ratio=d_max_ratio,
         sum_outdeg_sq=sum_sq,
         oriented_ops_ratio=sum_sq / n ** (3.0 / gamma),
     )

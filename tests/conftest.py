@@ -32,6 +32,14 @@ def brute_common_neighbors(g: Graph, u: int, v: int) -> int:
     return len(adj[u] & adj[v])
 
 
+def brute_similarity(g: Graph, u: int, v: int) -> float:
+    """The cleaner's edge similarity |N(u) & N(v)| / (|N(u) | N(v)| - 2),
+    0.0 when that denominator is not positive."""
+    adj = adjacency_sets(g)
+    denom = len(adj[u] | adj[v]) - 2
+    return len(adj[u] & adj[v]) / denom if denom > 0 else 0.0
+
+
 def brute_wedges(g: Graph) -> int:
     """Count unordered two-hop paths by listing them."""
     adj = adjacency_sets(g)

@@ -15,7 +15,8 @@ import netclass
 from netclass import cli
 from netclass.cli import main
 from netclass.errors import BudgetExceededError, NotConnectedError, ParseError
-from netclass.generators import complete_multipartite, moon_moser
+from netclass.generators import complete_multipartite, moon_moser, random_tree
+from netclass.plb import plb_constant, plb_diagnostics
 
 from conftest import csr_star, recursion_headroom
 
@@ -121,6 +122,22 @@ class TestSubcommands:
         lines = target.read_text().splitlines()
         assert lines[0] == "k,tail_mass,reference,ratio"
         assert len(lines) >= 2
+
+    def test_plb_tail_csv_near_gamma_one(self, capsys, tmp_path):
+        # the tail's d_max ratio divides by n^(1/(gamma-1)), beyond float
+        # range at n = 200 and gamma = 1.001
+        g = random_tree(200, seed=3)
+        f = tmp_path / "tree.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in g.edge_array().tolist()))
+        target = tmp_path / "tail.csv"
+        assert main(["plb", str(f), "--gamma", "1.001",
+                     "--tail-csv", str(target)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        tail = plb_diagnostics(g, plb_constant(g.degree_distribution(),
+                                               1.001)).tail
+        assert target.read_text().splitlines()[1:] == [
+            f"{p.k},{p.tail_mass},{p.reference:.10g},{p.ratio:.10g}"
+            for p in tail]
 
     def test_diameter_two_sweep_and_exact(self, capsys, tmp_path):
         f = tmp_path / "p5.txt"

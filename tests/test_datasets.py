@@ -4,7 +4,7 @@ import json
 import pytest
 
 from netclass.cli import main
-from netclass.datasets import MANIFEST, fetch_dataset
+from netclass.datasets import FETCH_TIMEOUT_S, MANIFEST, fetch_dataset
 from netclass.errors import DatasetError
 
 TOY = "# toy graph\n0 1\n1 2\n2 0\n"
@@ -71,6 +71,21 @@ class TestFetchDataset:
                              "nodes": 1, "edges": 0, "directed": False}}
         with pytest.raises(DatasetError, match="could not retrieve"):
             fetch_dataset("gone", cache_dir=tmp_path / "c", manifest=manifest)
+
+    def test_download_waits_the_module_timeout(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        waits = []
+
+        def refuse(url, timeout):
+            waits.append(timeout)
+            raise OSError("no route to host")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        with pytest.raises(DatasetError, match="could not retrieve"):
+            fetch_dataset("toy", cache_dir=tmp_path / "c",
+                          manifest=toy_manifest(tmp_path))
+        assert waits == [FETCH_TIMEOUT_S] == [120.0]
 
     def test_failed_fetch_creates_no_cache_dir(self, tmp_path):
         manifest = {"gone": {"url": (tmp_path / "missing.gz").as_uri(),

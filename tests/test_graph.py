@@ -18,8 +18,7 @@ from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, petersen_graph, random_graph,
                                  star_graph)
 from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
-                            common_neighbors, connected_components,
-                            jaccard_similarity, largest_component,
+                            connected_components, largest_component,
                             load_edge_list, sorted_unique, spans,
                             wedge_count)
 
@@ -119,8 +118,8 @@ class TestLoadEdgeList:
         g = load_edge_list(edge_list_file("100 7\n7 42\n"))
         assert sorted(g.labels.tolist()) == [7, 42, 100]
         u, v = g.index_of(100), g.index_of(7)
-        assert g.has_edge(u, v)
-        assert g.label_of(g.index_of(42)) == 42
+        assert v in g.neighbors(u)
+        assert g.labels[g.index_of(42)] == 42
 
     def test_self_loop_only_vertex_still_counted(self, edge_list_file):
         # SNAP node counts include ids that only ever appear in loops
@@ -220,8 +219,8 @@ class TestLoadEdgeListOracle:
                 assert g.labels.tolist() == labels
                 assert g.labels.dtype == np.int64
                 assert (g.n, g.m) == (len(labels), sum(map(len, adj.values())) // 2)
-                assert {g.label_of(v): set(g.labels[g.neighbors(v)].tolist())
-                        for v in range(g.n)} == adj
+                assert {label: set(g.labels[g.neighbors(v)].tolist())
+                        for v, label in enumerate(g.labels.tolist())} == adj
                 assert (got.raw_lines, got.self_loops, got.duplicates) == stats
                 g.validate()
 
@@ -287,11 +286,26 @@ class TestFromEdges:
             with pytest.raises(ValueError, match=message):
                 Graph.from_edges([(0, 1)], n=3, labels=labels)
         g = Graph.from_edges([(0, 1)], n=3, labels=np.array([7, 8, 9]))
-        assert g.label_of(2) == 9
+        assert g.labels[2] == 9
 
     def test_list_input(self):
         self._check([(3, 1), (1, 3), (2, 2), (0, 3), (4, 0)])
         self._check([[0, 1], [1, 2]], n=4)
+
+    def test_non_integer_endpoints_rejected(self):
+        # a cast would truncate (0.5, 1.7) to the edge (0, 1)
+        message = "^edge endpoints must have an integer dtype, not "
+        for edges in ([(0.5, 1.7), (1, 2)], np.array([[0.0, 1.0]]),
+                      np.array([[True, False]])):
+            with pytest.raises(ValueError, match=message):
+                Graph.from_edges(edges)
+        # empty input of any dtype is an empty edge list
+        self._check(np.zeros((0, 2)), n=3)
+        # other integer dtypes are widened; an int64 array is not copied
+        edges = np.array([[0, 1], [2, 1]], dtype=np.int64)
+        assert graph_module._integer_array(edges, "edges") is edges
+        for dtype in (np.int32, np.uint8):
+            self._check(edges.astype(dtype))
 
 
 class TestValidate:
@@ -358,50 +372,27 @@ class TestSortedUnique:
 
 
 class TestCommonNeighbors:
+    """Common-neighbor counts as the pair walk yields them."""
+
+    @staticmethod
+    def _counts(g):
+        return {(u, w): k for u, w, k, _ in TestPairTable._block_rows(g)}
+
     def test_path_endpoints_share_center(self):
-        g = path_graph(3)
-        assert common_neighbors(g, 0, 2) == 1
+        assert self._counts(path_graph(3)) == {(0, 2): 1}
 
     def test_diamond(self):
         g = Graph.from_edges([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert common_neighbors(g, 0, 1) == 2
+        assert self._counts(g)[(0, 1)] == 2
 
     def test_petersen_matches_brute_force(self):
+        # girth 5: adjacent vertices share no neighbor, others share one
         g = petersen_graph()
+        counts = self._counts(g)
         for u, v in itertools.combinations(range(10), 2):
-            assert common_neighbors(g, u, v) == brute_common_neighbors(g, u, v)
-            if not g.has_edge(u, v):
-                assert common_neighbors(g, u, v) == 1
-
-    def test_same_vertex_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            common_neighbors(g, 1, 1)
-        with pytest.raises(ValueError):
-            common_neighbors(g, 0, 99)
-
-
-class TestJaccard:
-    def test_triangle_edge(self):
-        assert jaccard_similarity(complete_graph(3), 0, 1) == 1.0
-
-    def test_path_edge(self):
-        assert jaccard_similarity(path_graph(3), 0, 1) == 0.0
-
-    def test_isolated_edge_degenerate_denominator(self):
-        assert jaccard_similarity(path_graph(2), 0, 1) == 0.0
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError, match="not an edge"):
-            jaccard_similarity(path_graph(3), 0, 2)
-
-    def test_unit_similarity_iff_equal_punctured_neighborhoods(self):
-        for g in random_graph_stream(25, 12, seed=3):
-            adj = adjacency_sets(g)
-            for u, v in map(tuple, g.edge_array().tolist()):
-                punctured_equal = adj[u] - {v} == adj[v] - {u}
-                expected = punctured_equal and len(adj[u] - {v}) > 0
-                assert (jaccard_similarity(g, u, v) == 1.0) == expected
+            count = counts.get((u, v), 0)
+            assert count == brute_common_neighbors(g, u, v)
+            assert count == (0 if v in g.neighbors(u) else 1)
 
 
 class TestWedges:
@@ -686,6 +677,17 @@ class TestInducedSubgraph:
         sub = complete_graph(4).induced_subgraph([])
         assert (sub.n, sub.m) == (0, 0)
 
+    def test_non_integer_vertices_rejected(self):
+        # a cast would truncate 0.9 and 1.2 to the vertices 0 and 1
+        g = path_graph(4)
+        message = "^vertices must have an integer dtype, not float64$"
+        for vertices in ([0.9, 1.2], np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match=message):
+                g.induced_subgraph(vertices)
+        assert g.induced_subgraph(np.array([], dtype=float)).n == 0
+        sub = g.induced_subgraph(np.array([2, 1], dtype=np.uint8))
+        assert (sub.n, sub.m, sub.labels.tolist()) == (2, 1, [1, 2])
+
     def test_label_composition(self, edge_list_file):
         g = load_edge_list(edge_list_file("10 20\n20 30\n30 10\n"))
         sub = g.induced_subgraph([g.index_of(10), g.index_of(30)])
@@ -706,7 +708,7 @@ class TestInducedSubgraph:
         pairs = rng.choice(live, size=(90, 2))
         g = Graph.from_edges(pairs, n=n,
                              labels=rng.permutation(10 * n)[:n] * 7 - 3)
-        assert all(g.degree(v) == 0 for v in isolated)
+        assert not g.degrees[isolated].any()
         subset = rng.permutation(n)[:int(rng.integers(1, n))]
         for vertices in [subset.tolist(),                   # unsorted
                          np.repeat(rng.permutation(n), 2),  # all repeated
@@ -753,7 +755,7 @@ class TestDegreeDistribution:
         assert int(counts.sum()) == g.n
         assert int((np.arange(len(counts)) * counts).sum()) == 2 * g.m
         if g.n:
-            assert dd.count(dd.d_max) >= 1
+            assert dd.counts[dd.d_max] >= 1
 
 
 class TestComponents:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from netclass.generators import (plb_graph, power_law_degree_sequence,
                                  random_tree, star_graph)
-from netclass.graph import DegreeDistribution, Graph
+from netclass.graph import DegreeDistribution
 from netclass.plb import fit_gamma, is_plb, plb_constant, plb_diagnostics
 
 
@@ -171,8 +171,7 @@ class TestFitGamma:
     def test_marked_heuristic(self):
         g = plb_graph(2000, 2.5, seed=11)
         chosen = fit_gamma(g.degree_distribution())
-        assert chosen.heuristic
-        assert 1.0 < chosen.gamma <= 5.0
+        assert 1.0 < chosen.fit.gamma <= 5.0
         assert chosen.fit.c_plb > 0
 
     @pytest.mark.parametrize("gammas", [[], np.array([])])
@@ -206,6 +205,21 @@ class TestDiagnostics:
             assert point.tail_mass == int((degs >= point.k).sum())
             assert point.ratio == pytest.approx(
                 point.tail_mass / (g.n * point.k ** (1 - 2.5)))
+
+    def test_d_max_ratio_takes_its_limit_near_gamma_one(self):
+        # n^(1/(gamma-1)) = 200^1000 is beyond float range, so the ratio
+        # is its limit 0; every other field keeps its formula
+        g = random_tree(200, seed=3)
+        gamma = 1.001
+        with pytest.raises(OverflowError):
+            200 ** (1.0 / (gamma - 1.0))
+        diag = plb_diagnostics(g, plb_constant(g.degree_distribution(), gamma))
+        assert diag.d_max_ratio == 0.0
+        assert diag.degeneracy_ratio == diag.degeneracy / 200 ** (1.0 / gamma)
+        assert diag.oriented_ops_ratio == \
+            diag.sum_outdeg_sq / 200 ** (3.0 / gamma)
+        assert [p.reference for p in diag.tail] == \
+            [200 * p.k ** (1.0 - gamma) for p in diag.tail]
 
     def test_oriented_ops_recorded(self):
         g = plb_graph(4096, 2.5, seed=42)

@@ -10,15 +10,16 @@ from netclass.generators import (complete_graph, complete_multipartite,
                                  cycle_graph, disjoint_union, lollipop_graph,
                                  path_graph, random_graph, random_tree,
                                  star_graph)
-from netclass.graph import Graph, bfs_levels, jaccard_similarity, wedge_count
+from netclass.graph import Graph, bfs_levels, wedge_count
 from netclass.triangles import (ClusterCertificate, PhaseLog,
                                 TightlyKnitFamily, _certificate, _radius,
                                 clean, extract, tightly_knit_decomposition,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
-from conftest import (brute_all_pairs_dist, brute_clean, brute_triangles,
-                      brute_triangles_dense, brute_wedges, random_graph_stream)
+from conftest import (adjacency_sets, brute_all_pairs_dist, brute_clean,
+                      brute_similarity, brute_triangles, brute_triangles_dense,
+                      brute_wedges, random_graph_stream)
 
 
 # graphs whose degrees tie, so the orientation falls back to index order
@@ -114,7 +115,7 @@ class TestCleaner:
         g = lollipop_graph(20, 6)
         # oracle: the per-edge similarities the cleaner will see first
         for u, v in map(tuple, g.edge_array().tolist()):
-            sim = jaccard_similarity(g, u, v)
+            sim = brute_similarity(g, u, v)
             if u < 20 and v < 20:
                 assert sim >= 0.25
             else:
@@ -151,7 +152,7 @@ class TestCleaner:
         for g in random_graph_stream(15, 25, seed=131):
             cleaned, _ = clean(g, 0.3)
             for u, v in map(tuple, cleaned.edge_array().tolist()):
-                assert jaccard_similarity(cleaned, u, v) >= 0.3
+                assert brute_similarity(cleaned, u, v) >= 0.3
 
     def test_triangles_destroyed_recorded_exactly(self):
         g = next(random_graph_stream(1, 25, seed=137, min_n=15))
@@ -162,10 +163,31 @@ class TestCleaner:
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.4, 1.0])
     def test_log_matches_fifo_oracle(self, epsilon):
-        for g in random_graph_stream(100, 30, seed=808, min_n=3):
+        # a triangle edge (similarity 1), a path edge (0) and an isolated
+        # edge (denominator 0, so 0) ahead of the random graphs
+        graphs = [complete_graph(3), path_graph(3), path_graph(2)]
+        graphs += random_graph_stream(100, 30, seed=808, min_n=3)
+        for g in graphs:
             _, log = clean(g, epsilon)
             assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
                     for d in log] == brute_clean(g, epsilon)
+
+    def test_unit_threshold_keeps_exactly_unit_similarity(self):
+        # at epsilon 1 a popped edge stays exactly when its similarity is
+        # 1: its endpoints' other neighbors agree and are not empty
+        assert clean(complete_graph(3), 1.0)[1] == []
+        for g in (path_graph(3), path_graph(2)):
+            first = clean(g, 1.0)[1][0]
+            assert (first.u, first.v, first.similarity) == (0, 1, 0.0)
+        for g in random_graph_stream(25, 12, seed=3):
+            adj = adjacency_sets(g)
+            for u, v in g.edge_array().tolist():
+                unit = adj[u] - {v} == adj[v] - {u} != set()
+                assert (brute_similarity(g, u, v) == 1.0) == unit
+                _, log = clean(g, 1.0, seeds=[(u, v)])
+                assert (log == []) == unit
+                assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
+                        for d in log] == brute_clean(g, 1.0, seeds=[(u, v)])
 
     def test_seeded_log_matches_fifo_oracle(self):
         # the decomposition's second clean: the residual after one
