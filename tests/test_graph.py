@@ -21,11 +21,12 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             connected_components, largest_component,
                             load_edge_list, sorted_unique, spans,
                             wedge_count)
+from netclass.triangles import clean
 
-from conftest import (adjacency_sets, brute_all_pairs_dist,
-                      brute_c_closure, brute_common_neighbors,
-                      brute_components, brute_induced_subgraph,
-                      brute_load_edge_list, brute_wedges,
+from conftest import (adjacency_sets, brute_all_pairs_dist, brute_c_closure,
+                      brute_clean, brute_common_neighbors, brute_components,
+                      brute_induced_subgraph, brute_load_edge_list,
+                      brute_similarity, brute_wedges,
                       brute_weak_closure_order, random_graph_stream)
 
 SRC = Path(graph_module.__file__).resolve().parents[1]
@@ -393,6 +394,41 @@ class TestCommonNeighbors:
             count = counts.get((u, v), 0)
             assert count == brute_common_neighbors(g, u, v)
             assert count == (0 if v in g.neighbors(u) else 1)
+
+
+class TestJaccard:
+    """The edge similarity the cleaner computes inline, read from its
+    deletion log and, at epsilon 1, from which edges it keeps."""
+
+    @staticmethod
+    def _first_deletion(g):
+        first = clean(g, 1.0)[1][0]
+        return first.u, first.v, first.similarity
+
+    def test_triangle_edge(self):
+        assert brute_similarity(complete_graph(3), 0, 1) == 1.0
+        assert clean(complete_graph(3), 1.0)[1] == []
+
+    def test_path_edge(self):
+        assert brute_similarity(path_graph(3), 0, 1) == 0.0
+        assert self._first_deletion(path_graph(3)) == (0, 1, 0.0)
+
+    def test_isolated_edge_degenerate_denominator(self):
+        assert brute_similarity(path_graph(2), 0, 1) == 0.0
+        assert self._first_deletion(path_graph(2)) == (0, 1, 0.0)
+
+    def test_unit_similarity_iff_equal_punctured_neighborhoods(self):
+        # at epsilon 1 a popped edge stays exactly when its similarity is
+        # 1: its endpoints' other neighbors agree and are not empty
+        for g in random_graph_stream(25, 12, seed=3):
+            adj = adjacency_sets(g)
+            for u, v in g.edge_array().tolist():
+                unit = adj[u] - {v} == adj[v] - {u} != set()
+                assert (brute_similarity(g, u, v) == 1.0) == unit
+                _, log = clean(g, 1.0, seeds=[(u, v)])
+                assert (log == []) == unit
+                assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
+                        for d in log] == brute_clean(g, 1.0, seeds=[(u, v)])
 
 
 class TestWedges:

@@ -17,9 +17,9 @@ from netclass.triangles import (ClusterCertificate, PhaseLog,
                                 triangle_count_naive, triangle_count_oriented,
                                 triangle_density, verify_tightly_knit)
 
-from conftest import (adjacency_sets, brute_all_pairs_dist, brute_clean,
-                      brute_similarity, brute_triangles, brute_triangles_dense,
-                      brute_wedges, random_graph_stream)
+from conftest import (brute_all_pairs_dist, brute_clean, brute_similarity,
+                      brute_triangles, brute_triangles_dense, brute_wedges,
+                      random_graph_stream)
 
 
 # graphs whose degrees tie, so the orientation falls back to index order
@@ -171,23 +171,6 @@ class TestCleaner:
             _, log = clean(g, epsilon)
             assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
                     for d in log] == brute_clean(g, epsilon)
-
-    def test_unit_threshold_keeps_exactly_unit_similarity(self):
-        # at epsilon 1 a popped edge stays exactly when its similarity is
-        # 1: its endpoints' other neighbors agree and are not empty
-        assert clean(complete_graph(3), 1.0)[1] == []
-        for g in (path_graph(3), path_graph(2)):
-            first = clean(g, 1.0)[1][0]
-            assert (first.u, first.v, first.similarity) == (0, 1, 0.0)
-        for g in random_graph_stream(25, 12, seed=3):
-            adj = adjacency_sets(g)
-            for u, v in g.edge_array().tolist():
-                unit = adj[u] - {v} == adj[v] - {u} != set()
-                assert (brute_similarity(g, u, v) == 1.0) == unit
-                _, log = clean(g, 1.0, seeds=[(u, v)])
-                assert (log == []) == unit
-                assert [(d.u, d.v, d.similarity, d.triangles_destroyed)
-                        for d in log] == brute_clean(g, 1.0, seeds=[(u, v)])
 
     def test_seeded_log_matches_fifo_oracle(self):
         # the decomposition's second clean: the residual after one
