@@ -13,7 +13,7 @@ import heapq
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,11 @@ EMIT_CHUNK = 1 << 12
 class CliqueSet:
     """Maximal cliques of one graph, stored flat.
 
-    ``members`` is an int32 buffer and ``ends`` an int64 buffer of
-    clique ends: clique i is ``members[ends[i - 1]:ends[i]]``, an
-    ascending vertex run, and the cliques may come in any order. Both
-    enumerators fill this one store, so the count and ``largest()``
-    build no tuples. ``cliques`` (and iteration) builds them on first
-    use, as the sorted list of ascending tuples, so two CliqueSets over
-    the same graph compare equal regardless of emission order.
+    ``members`` (int32) and ``ends`` (int64) are flat buffers: clique i
+    is ``members[ends[i - 1]:ends[i]]``. Both enumerators fill this one
+    store, cliques and members in emitted order, so counting sorts
+    nothing; ``cliques`` (and iteration) builds the sorted list of
+    ascending tuples on first use, and ``largest()`` sorts its rows.
     """
 
     __slots__ = ("_members", "_ends", "_cliques")
@@ -47,7 +45,7 @@ class CliqueSet:
     def cliques(self) -> list[tuple[int, ...]]:
         if self._cliques is None:
             members, ends = self._members.tolist(), self._ends.tolist()
-            self._cliques = sorted(tuple(members[a:b]) for a, b in
+            self._cliques = sorted(tuple(sorted(members[a:b])) for a, b in
                                    zip([0, *ends], ends))
         return self._cliques
 
@@ -72,7 +70,7 @@ class CliqueSet:
         sizes = np.diff(self._ends, prepend=0)
         size = int(sizes.max())
         starts = self._ends[sizes == size] - size
-        rows = self._members[starts[:, None] + np.arange(size)]
+        rows = np.sort(self._members[starts[:, None] + np.arange(size)])
         # lexsort's last key is its primary one
         return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
@@ -84,9 +82,8 @@ class OrientedGraph:
     Every undirected edge appears exactly once, directed from the
     lower-ranked endpoint to the higher-ranked one. Both orientations
     come from one builder, ``_orient``, which takes the order and
-    derives the ranks and out-neighbor rows. ``degeneracy`` and
-    ``removal_degrees`` are populated only for min-degree removal
-    orderings.
+    derives the ranks and out-neighbor rows. ``degeneracy`` is set only
+    for the min-degree removal ordering.
     """
 
     order: np.ndarray                    # position -> vertex
@@ -94,16 +91,14 @@ class OrientedGraph:
     out_indptr: np.ndarray
     out_indices: np.ndarray              # sorted ascending within each row
     degeneracy: int | None = None
-    removal_degrees: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
 
-def _orient(g: Graph, order: np.ndarray, **removal) -> OrientedGraph:
-    """Each edge pointing up the ranks of ``order``; ``removal`` holds
-    the degeneracy fields."""
+def _orient(g: Graph, order: np.ndarray, degeneracy=None) -> OrientedGraph:
+    """Each edge pointing up the ranks of ``order``."""
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
     heads = np.repeat(np.arange(g.n), g.degrees)
@@ -111,7 +106,7 @@ def _orient(g: Graph, order: np.ndarray, **removal) -> OrientedGraph:
     # rows stay in head order and sorted within, so the mask keeps CSR order
     return OrientedGraph(order=order, rank=rank,
                          out_indptr=row_pointers(heads[up], g.n),
-                         out_indices=g.indices[up], **removal)
+                         out_indices=g.indices[up], degeneracy=degeneracy)
 
 
 def degeneracy_ordering(g: Graph) -> OrientedGraph:
@@ -127,7 +122,7 @@ def degeneracy_ordering(g: Graph) -> OrientedGraph:
     alive = [True] * n
     heap = [(d, v) for v, d in enumerate(degs)]
     heapq.heapify(heap)
-    order, removal_degrees = [], []
+    order, degeneracy = [], 0
     for _ in range(n):
         while True:
             d, v = heapq.heappop(heap)
@@ -135,14 +130,12 @@ def degeneracy_ordering(g: Graph) -> OrientedGraph:
                 break
         alive[v] = False
         order.append(v)
-        removal_degrees.append(d)
+        degeneracy = max(degeneracy, d)
         for w in nbrs[ptr[v]:ptr[v + 1]]:
             if alive[w]:
                 degs[w] -= 1
                 heapq.heappush(heap, (degs[w], w))
-    return _orient(g, np.array(order, dtype=np.int64),
-                   degeneracy=max(removal_degrees, default=0),
-                   removal_degrees=np.array(removal_degrees, dtype=np.int64))
+    return _orient(g, np.array(order, dtype=np.int64), degeneracy)
 
 
 def degree_orientation(g: Graph) -> OrientedGraph:
@@ -171,14 +164,14 @@ def _recursion_as_value_error():
 
 
 def _clique_store(g: Graph, budget: int, walk) -> CliqueSet:
-    """Run ``walk(g, emit)`` and keep each clique it emits, an ascending
-    tuple, in one flat CliqueSet; the clique past the budget raises."""
+    """Run ``walk(g, emit)`` and keep each clique it emits, members in
+    any order, in one flat CliqueSet; the clique past the budget raises."""
     _check_budget(budget)
     # members reach the int32 buffer through a list, converted a chunk
     # at a time: array.extend converts item by item, far slower
     members, ends, pending = array("i"), array("q"), []
 
-    def emit(clique: tuple[int, ...]) -> None:
+    def emit(clique) -> None:
         pending.extend(clique)
         ends.append(len(members) + len(pending))
         if len(ends) > budget:
@@ -208,7 +201,7 @@ def enumerate_maximal_cliques_backtracking(
 
 
 def _backtrack(g: Graph, emit) -> None:
-    """Call ``emit`` on each maximal clique, an ascending tuple, as found."""
+    """Call ``emit`` on each maximal clique, a frozenset, as found."""
     adj = g.adjacency_sets()
     found: set[frozenset[int]] = set()
     visited: set[tuple[int, frozenset[int]]] = set()
@@ -231,7 +224,7 @@ def _backtrack(g: Graph, emit) -> None:
             # keeping only those whose minimum is `start` dedups globally
             if min(clique) == start and clique not in found:
                 found.add(clique)
-                emit(tuple(sorted(clique)))
+                emit(clique)
             return
         new_history = history | {v}
         for w in sorted(cand):
@@ -283,12 +276,12 @@ def _local_bitsets(g: Graph):
 
 
 def _bron_kerbosch(g: Graph, emit) -> None:
-    """Call ``emit`` on each maximal clique, an ascending tuple, in
-    ``enumerate_maximal_cliques``'s emission order."""
+    """Call ``emit`` on each maximal clique, a list in the order its
+    members joined, in ``enumerate_maximal_cliques``'s emission order."""
     def expand(r: list[int], p: int, x: int) -> None:
         if not p:
             if not x:
-                emit(tuple(sorted(r)))
+                emit(r)
             return
         best, pivot, px = -1, 0, p | x
         while px:

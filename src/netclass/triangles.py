@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _pair_blocks, bfs_levels, wedge_count
+from .graph import Graph, _integer_array, _pair_blocks, bfs_levels, wedge_count
 
 
 @dataclass
@@ -138,14 +138,17 @@ def clean(g: Graph, epsilon: float,
 
     ``seeds`` restricts the initial worklist to the given edges, in the
     given order; callers must guarantee every other edge already
-    satisfies the threshold. A seed with an endpoint outside the graph
+    satisfies the threshold. A seed that is not a pair of vertex ids
     is refused before any deletion. The decomposition runs the same
     worklist on its own adjacency sets rather than through this function.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
     adj = g.adjacency_sets()
-    seeds = g.edge_array().tolist() if seeds is None else list(seeds)
+    pairs = g.edge_array() if seeds is None else _integer_array(seeds, "seeds")
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError("seeds must be pairs")
+    seeds = pairs.reshape(-1, 2).tolist()  # Python ints for the pair keys
     for u, v in seeds:
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"seed ({u}, {v}) is outside range({g.n})")
@@ -227,15 +230,12 @@ class ClusterCertificate:
 
 @dataclass
 class PhaseLog:
-    """One pipeline phase: a cleaning pass or a cluster extraction."""
+    """One pipeline phase: a cleaning pass, with the counts of edges it
+    deleted and of triangles they closed, or an extraction (kind alone)."""
 
     kind: str                        # "clean" | "extract"
-    epsilon: float | None = None
     edges_deleted: int = 0
-    triangles_destroyed: int = 0     # cleaning: sum over deletions
-    cluster_size: int = 0
-    triangles_saved: int = 0         # extraction: triangles inside cluster
-    triangles_cut: int = 0           # extraction: triangles crossing it
+    triangles_destroyed: int = 0
 
 
 @dataclass
@@ -323,32 +323,23 @@ def tightly_knit_decomposition(g: Graph,
         deletions = _clean_sets(adj, seeds, epsilon)
         edges_left -= len(deletions)
         phases.append(PhaseLog(
-            kind="clean", epsilon=epsilon, edges_deleted=len(deletions),
+            kind="clean", edges_deleted=len(deletions),
             triangles_destroyed=sum(d.triangles_destroyed for d in deletions)))
         if edges_left == 0:
             break
         members, _ = _extract_sets(adj)
-        inside = set(members)
-        saved = touched = 0
         boundary: set[int] = set()
-        # remove the cluster vertex by vertex, counting each triangle that
-        # meets it once, at the first of its vertices to go
         for c in members:
             nbrs, adj[c] = adj[c], set()
             for a in nbrs:
                 adj[a].discard(c)
-            touched += sum(len(adj[a] & nbrs) for a in nbrs) // 2
-            own = nbrs & inside
-            saved += sum(len(adj[a] & own) for a in own) // 2
             edges_left -= len(nbrs)
             boundary |= nbrs
         clusters.append(tuple(members))
-        phases.append(PhaseLog(
-            kind="extract", cluster_size=len(members),
-            triangles_saved=saved, triangles_cut=touched - saved))
+        phases.append(PhaseLog(kind="extract"))
         # only neighborhoods bordering the cluster changed: reseed there,
         # listing an edge between two boundary vertices once from each end
-        seeds = [(b, w) for b in sorted(boundary - inside)
+        seeds = [(b, w) for b in sorted(boundary.difference(members))
                  for w in sorted(adj[b])]
 
     certificates = [_certificate(g, np.array(c, dtype=np.int64))
@@ -375,7 +366,8 @@ def verify_tightly_knit(g: Graph,
                         family: TightlyKnitFamily) -> FamilyVerification:
     """Re-derive every certificate of a family from scratch.
 
-    Checks that clusters are disjoint and repeat no vertex, the total,
+    Checks that clusters lie in the graph, are disjoint and repeat no
+    vertex (a cluster outside the graph gets no certificate), the total,
     one certificate per cluster, and each cluster against its own
     ``_certificate`` built with the oriented counter, a route other than
     construction's pair-walk fold: radius at most 2, every field, and
@@ -383,7 +375,12 @@ def verify_tightly_knit(g: Graph,
     """
     violations: list[str] = []
     seen: set[int] = set()
+    outside: set[int] = set()  # clusters that name a vertex not in g
     for idx, members in enumerate(family.clusters):
+        stray = sorted({v for v in members if not 0 <= v < g.n})
+        if stray:
+            outside.add(idx)
+            violations.append(f"cluster {idx} has vertices outside range({g.n}): {stray}")
         overlap = seen.intersection(members)
         if overlap:
             violations.append(f"cluster {idx} overlaps earlier ones: {sorted(overlap)}")
@@ -401,6 +398,8 @@ def verify_tightly_knit(g: Graph,
         violations.append(f"{len(certs)} certificates for {k} clusters")
     captured = 0
     for idx, members in enumerate(family.clusters):
+        if idx in outside:
+            continue
         own = _certificate(g, np.array(members, dtype=np.int64),
                            triangle_count_oriented)
         captured += own.triangle_count

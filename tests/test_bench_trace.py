@@ -27,6 +27,9 @@ def test_traced_mesh_pass_is_correct(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"], result["attempted"]) == \
         (True, 0, 24), proc.stderr
+    counts = {name: result["metrics"][name]["value"]
+              for name in ("cliques.maximal", "tkf.phases")}
+    assert counts == {"cliques.maximal": 1770, "tkf.phases": 0}
 
 
 def test_traced_community_pass_is_correct(tmp_path):
@@ -44,7 +47,9 @@ def test_traced_community_pass_is_correct(tmp_path):
         (True, 0, 24), proc.stderr
     counts = {name: result["metrics"][name]["value"] for name in
               ("triangles.t", "tkf.clusters", "tkf.phases",
-               "tkf.edges_deleted", "closure.pairs", "cliques.degeneracy")}
+               "tkf.edges_deleted", "closure.pairs", "cliques.degeneracy",
+               "cliques.maximal")}
     assert counts == {"triangles.t": 106105, "tkf.clusters": 44,
                       "tkf.phases": 88, "tkf.edges_deleted": 3816,
-                      "closure.pairs": 217696, "cliques.degeneracy": 32}
+                      "closure.pairs": 217696, "cliques.degeneracy": 32,
+                      "cliques.maximal": 68840}

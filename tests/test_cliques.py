@@ -161,8 +161,9 @@ class TestWideNeighborhoods:
     def test_emission_order_matches_set_reference(self):
         for g in [hub_graph(), moon_moser_join(), moon_moser(12),
                   *random_graph_stream(20, 30, seed=127)]:
+            # cliques come out unsorted; the order of cliques is the contract
             seen = []
-            _bron_kerbosch(g, seen.append)
+            _bron_kerbosch(g, lambda c: seen.append(tuple(sorted(c))))
             assert seen == reference_emission_order(g)
 
 
@@ -213,6 +214,17 @@ class TestCliqueSet:
         assert cs == CliqueSet(*flat(sorted(emitted)))
         # the smallest among the largest, not the first one emitted
         assert cs.largest() == (1, 2, 3)
+
+    def test_member_runs_stored_out_of_order(self):
+        # the enumerators store members as emitted; listing sorts them
+        runs = [(2, 0, 1), (4,), (3, 1)]
+        ascending = [(0, 1, 2), (1, 3), (4,)]
+        cs = CliqueSet(*flat(runs))
+        assert cs.cliques == ascending and list(cs) == ascending
+        assert cs == CliqueSet(*flat(ascending))
+        assert cs.largest() == (0, 1, 2)
+        # ties among the largest go to the smallest sorted run
+        assert CliqueSet(*flat([(5, 3), (4, 1), (2, 0)])).largest() == (0, 2)
 
     def test_enumerated_set_equals_sorted_list(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)], n=7)
@@ -351,16 +363,18 @@ class TestDegeneracy:
             assert int(og.out_degrees.sum()) == g.m
 
     def test_min_degree_greedy_witness(self):
-        # degree at removal really is the min over the surviving subgraph
+        # each removal is the smallest id of minimum surviving degree, and
+        # the degeneracy is the largest degree seen at removal
         for g in random_graph_stream(10, 20, seed=101):
             og = degeneracy_ordering(g)
             adj = adjacency_sets(g)
-            surviving = set(range(g.n))
-            for v, d in zip(og.order.tolist(), og.removal_degrees.tolist()):
+            surviving, seen = set(range(g.n)), [0]
+            for v in og.order.tolist():
                 degrees = {u: len(adj[u] & surviving) for u in surviving}
-                assert degrees[v] == min(degrees.values())
-                assert d == degrees[v]
+                assert v == min(surviving, key=lambda u: (degrees[u], u))
+                seen.append(degrees[v])
                 surviving.remove(v)
+            assert og.degeneracy == max(seen)
 
 
 class TestDegreeOrientation:

@@ -142,6 +142,19 @@ class TestCleaner:
         _, log = clean(g, 0.9, seeds=map(tuple, np.array([[1, 2]])))
         assert log == clean(g, 0.9, seeds=[(1, 2)])[1] != []
 
+    def test_seeds_that_are_not_integer_pairs_rejected(self):
+        g = complete_graph(5)
+        for seeds, message in [([(0, 1.0)], "integer dtype"),
+                               ([(0, 1, 2)], "^seeds must be pairs$"),
+                               ([0, 1], "^seeds must be pairs$")]:
+            with pytest.raises(ValueError, match=message):
+                clean(g, 0.5, seeds=seeds)
+        # an empty seed list deletes nothing, and numpy ids reach the
+        # worklist as Python ints
+        assert clean(g, 0.5, seeds=[])[1] == []
+        _, log = clean(path_graph(3), 0.5, seeds=np.array([[0, 1]]))
+        assert log and all(type(x) is int for d in log for x in (d.u, d.v))
+
     def test_deletion_log_reproducible(self):
         g = next(random_graph_stream(1, 30, seed=127))
         log1 = clean(g, 0.4)[1]
@@ -316,24 +329,20 @@ def reference_decomposition(g: Graph, epsilon: float):
     """The decomposition as a chain of public calls: each phase rebuilds
     the residual graph, carries original ids through identity labels and
     reseeds the cleaner with the edges at the removed cluster's boundary.
-    Triangle and radius figures come from the brute-force oracles."""
+    Certificate figures come from the brute-force oracles."""
     work = Graph(g.n, g.indptr, g.indices, labels=np.arange(g.n))
     clusters, phases = [], []
     seeds = None
     while work.m > 0:
         cleaned, deletions = clean(work, epsilon, seeds=seeds)
         phases.append(PhaseLog(
-            kind="clean", epsilon=epsilon, edges_deleted=len(deletions),
+            kind="clean", edges_deleted=len(deletions),
             triangles_destroyed=sum(d.triangles_destroyed for d in deletions)))
         if cleaned.m == 0:
             break
         local, _, rest = extract(cleaned)
         clusters.append(tuple(cleaned.labels[local].tolist()))
-        saved = brute_triangles_dense(cleaned.induced_subgraph(local))
-        touched = brute_triangles_dense(cleaned) - brute_triangles_dense(rest)
-        phases.append(PhaseLog(kind="extract", cluster_size=len(local),
-                               triangles_saved=saved,
-                               triangles_cut=touched - saved))
+        phases.append(PhaseLog(kind="extract"))
         inside = set(local.tolist())
         boundary = {w for c in inside
                     for w in cleaned.neighbors(c).tolist()} - inside
@@ -412,6 +421,15 @@ def _repeat_last_vertex(family):
                    certificates=[own, *family.certificates[1:]])
 
 
+def _vertex_outside(vertex):
+    """Cluster 1 also lists ``vertex``, which the graph does not have."""
+    def mutate(family):
+        cluster = (*family.clusters[1], vertex)
+        return replace(family, clusters=[family.clusters[0], cluster,
+                                         *family.clusters[2:]])
+    return mutate
+
+
 def _mutate_certificate(idx, fields):
     def mutate(family):
         certs = list(family.certificates)
@@ -457,9 +475,16 @@ class TestVerificationReports:
         (lambda f: replace(f, certificates=f.certificates[:-1]),
          ["13 certificates for 14 clusters"]),
         (_repeat_last_vertex, ["cluster 0 repeats vertices [247]"]),
+        (_vertex_outside(250), ["cluster 1 has vertices outside "
+                                "range(250): [250]",
+                                "captured fraction mismatch"]),
+        (_vertex_outside(-1), ["cluster 1 has vertices outside "
+                               "range(250): [-1]",
+                               "captured fraction mismatch"]),
     ], ids=["total", "edge_count", "triangle_count", "rho_edge",
             "rho_tri_none", "captured", "vertices", "size", "radius",
-            "missing_certificate", "repeated_vertex"])
+            "missing_certificate", "repeated_vertex", "vertex_above_n",
+            "negative_vertex"])
     def test_mutation_gives_its_message(self, mutate, want):
         g, family = _dense_family()
         check = verify_tightly_knit(g, mutate(family))
