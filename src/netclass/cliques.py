@@ -90,7 +90,7 @@ class OrientedGraph:
     rank: np.ndarray                     # vertex -> position
     out_indptr: np.ndarray
     out_indices: np.ndarray              # sorted ascending within each row
-    degeneracy: int | None = None
+    degeneracy: int | None
 
     @property
     def out_degrees(self) -> np.ndarray:

@@ -55,7 +55,7 @@ class FetchResult:
     n: int
     m: int
     raw_edge_lines: int
-    note: str | None = None
+    note: str | None
 
 
 def _verify(name: str, entry: dict, g: Graph,

@@ -59,6 +59,16 @@ def _integer_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _vertex_ids(values, n: int, what: str) -> np.ndarray:
+    """``values`` as int64 ids in ``range(n)``, not copying an int64 array;
+    ValueError, naming the ids outside, for any other value."""
+    arr = _integer_array(values, what)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        stray = sorted_unique(arr[(arr < 0) | (arr >= n)]).tolist()
+        raise ValueError(f"{what} has vertices outside range({n}): {stray}")
+    return arr
+
+
 def _unique_in_place(out: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, which is sorted in place."""
     out.sort()
@@ -76,6 +86,7 @@ class Graph:
     Invariants: no self-loops or repeated edges, symmetric adjacency,
     ascending neighbor lists. ``from_edges`` enforces them; the constructor
     does not, and ``validate()`` checks a hand-built CSR against them.
+    Vertex ids are the integers 0..n-1: any other id raises ValueError.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "labels", "_label_index")
@@ -111,8 +122,7 @@ class Graph:
             raise ValueError("edges must be pairs")
         if n is None:
             n = int(arr.max()) + 1 if arr.size else 0
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise ValueError("edge endpoint out of range")
+        _vertex_ids(arr, n, "edge endpoints")
         # the slots u -> w and w -> u of each edge, keyed head * n + tail;
         # sorted in place, they are in CSR order with repeats side by side
         keys = _unique_in_place((np.compress(arr[:, 0] != arr[:, 1], arr, axis=0)
@@ -141,10 +151,6 @@ class Graph:
         mask = heads < self.indices
         return np.column_stack([heads[mask], self.indices[mask]])
 
-    def check_vertex(self, v: int) -> None:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
-            raise ValueError(f"invalid vertex {v!r} for graph with n={self.n}")
-
     # -- labels --------------------------------------------------------
 
     def index_of(self, label: int) -> int:
@@ -162,9 +168,7 @@ class Graph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertex set, from its own rows; labels compose."""
-        S = sorted_unique(_integer_array(vertices, "vertices"))
-        if S.size and (S.min() < 0 or S.max() >= self.n):
-            raise ValueError("vertex out of range in induced subgraph")
+        S = sorted_unique(_vertex_ids(vertices, self.n, "vertices"))
         newid = np.full(self.n, -1, dtype=np.int64)
         newid[S] = np.arange(S.size)
         deg = self.degrees[S]
@@ -408,16 +412,16 @@ def bfs_levels(g: Graph, source: int | np.ndarray,
     equals the integer call's for ``source[i]``, zero-padded. A block
     reads distances only at ``pairs = (rows, targets)``: entry j of its
     ``dist`` is the distance from ``source[rows[j]]`` to ``targets[j]``,
-    the same as the integer call's, and is empty without pairs.
+    the same as the integer call's, and is empty without pairs. A source
+    or target that is not an integer in 0..n-1 raises ValueError.
     """
     if np.ndim(source) != 0:
         return _bfs_block(g, np.asarray(source), pairs)
     if pairs is not None:
         raise ValueError("pairs are read only from a block of sources")
-    g.check_vertex(source)
+    frontier = _vertex_ids(np.reshape(source, 1), g.n, "source")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     unseen = np.ones(g.n, dtype=bool)
-    frontier = np.array([source], dtype=np.int64)
     sizes = []
     while frontier.size:
         unseen[frontier] = False
@@ -442,19 +446,14 @@ def _bfs_block(g: Graph, sources: np.ndarray,
     if sources.ndim != 1 or not 1 <= sources.size <= BFS_BLOCK:
         raise ValueError(f"a source block holds 1 to {BFS_BLOCK} sources, "
                          f"got shape {sources.shape}")
-    if sources.dtype.kind not in "iu" or sources.min() < 0 \
-            or sources.max() >= g.n:
-        raise ValueError(f"invalid source in {sources.tolist()!r} for "
-                         f"graph with n={g.n}")
+    sources = _vertex_ids(sources, g.n, "sources")
     count = sources.size
     rows, targets = (sources[:0],) * 2 if pairs is None \
         else map(np.asarray, pairs)
-    if rows.ndim != 1 or rows.shape != targets.shape \
-            or not {rows.dtype.kind, targets.dtype.kind} <= set("iu") \
-            or rows.size and (min(rows.min(), targets.min()) < 0
-                              or rows.max() >= count or targets.max() >= g.n):
-        raise ValueError(f"pairs are two 1-D integer arrays of one length, "
-                         f"rows in [0, {count}) and targets in [0, {g.n})")
+    if rows.ndim != 1 or rows.shape != targets.shape:
+        raise ValueError("pairs are two 1-D arrays of one length")
+    rows = _vertex_ids(rows, count, "pair rows")
+    targets = _vertex_ids(targets, g.n, "pair targets")
     shift = rows.astype(np.uint64)
     dist = np.full(rows.size, UNREACHABLE, dtype=np.int64)
     frontier = np.zeros(g.n, dtype=np.uint64)

@@ -25,8 +25,8 @@ _NO_PAIRS = np.zeros(0, dtype=np.int64)
 class MetricProfile:
     """Per-vertex eccentricities and the diameter they give."""
 
-    eccentricity: np.ndarray | None = None
-    diameter: int | None = None
+    eccentricity: np.ndarray
+    diameter: int
 
 
 @dataclass
@@ -103,12 +103,11 @@ def two_sweep(g: Graph, seed: int | None = None) -> TwoSweepResult:
     """BFS to the farthest vertex, then report that vertex's eccentricity.
 
     Always a lower bound on the diameter; ties in the farthest-vertex
-    choice go to the smallest index.
+    choice go to the smallest index. ``seed`` (default 0) is an integer
+    vertex id in 0..n-1; any other value raises ValueError.
     """
     _require_vertices(g)
-    start = 0 if seed is None else seed
-    g.check_vertex(start)
-    first = bfs_levels(g, start)
+    first = bfs_levels(g, 0 if seed is None else seed)
     _require_spanned(g, first.level_sizes)
     turn = int(np.argmax(first.dist))
     second = bfs_levels(g, turn)
@@ -121,9 +120,9 @@ def tau(g: Graph, s: int, k: int) -> int | float:
     """Smallest level (>= 1) of s's BFS tree with at least k vertices.
 
     Infinity when no level ever reaches k. The source's own level 0 is
-    excluded so k=1 measures the first step, not the trivial one.
+    excluded so k=1 measures the first step, not the trivial one. ``s``
+    is an integer vertex id in 0..n-1; any other value raises ValueError.
     """
-    g.check_vertex(s)
     if k < 1:
         raise ValueError("k must be at least 1")
     first = _first_levels(bfs_levels(g, s).level_sizes[None], k)[0]
@@ -153,8 +152,8 @@ class BctReport:
     tail: list[tuple[int, float]]   # (gamma, fraction of sources)
     fit: TailFit
     rng_seed: int | None
-    taus: np.ndarray = field(repr=False, default=None)
-    eccs: np.ndarray = field(repr=False, default=None)
+    taus: np.ndarray = field(repr=False)
+    eccs: np.ndarray = field(repr=False)
 
 
 def _fit_tail(tail: list[tuple[int, float]]) -> TailFit:

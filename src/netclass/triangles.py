@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _integer_array, _pair_blocks, bfs_levels, wedge_count
+from .graph import Graph, _pair_blocks, _vertex_ids, bfs_levels, wedge_count
 
 
 @dataclass
@@ -138,21 +138,17 @@ def clean(g: Graph, epsilon: float,
 
     ``seeds`` restricts the initial worklist to the given edges, in the
     given order; callers must guarantee every other edge already
-    satisfies the threshold. A seed that is not a pair of vertex ids
-    is refused before any deletion. The decomposition runs the same
-    worklist on its own adjacency sets rather than through this function.
+    satisfies the threshold. Seeds are pairs of integer vertex ids in
+    0..n-1; anything else raises ValueError before any deletion. The
+    decomposition runs the same worklist on its own adjacency sets.
     """
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
     adj = g.adjacency_sets()
-    pairs = g.edge_array() if seeds is None else _integer_array(seeds, "seeds")
+    pairs = g.edge_array() if seeds is None else _vertex_ids(seeds, g.n, "seeds")
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError("seeds must be pairs")
-    seeds = pairs.reshape(-1, 2).tolist()  # Python ints for the pair keys
-    for u, v in seeds:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"seed ({u}, {v}) is outside range({g.n})")
-    log = _clean_sets(adj, seeds, epsilon)
+    log = _clean_sets(adj, pairs.reshape(-1, 2).tolist(), epsilon)  # Python ints
     edges = [(u, w) for u in range(g.n) for w in adj[u] if u < w]
     return Graph.from_edges(edges, n=g.n, labels=g.labels), log
 
@@ -366,21 +362,21 @@ def verify_tightly_knit(g: Graph,
                         family: TightlyKnitFamily) -> FamilyVerification:
     """Re-derive every certificate of a family from scratch.
 
-    Checks that clusters lie in the graph, are disjoint and repeat no
-    vertex (a cluster outside the graph gets no certificate), the total,
-    one certificate per cluster, and each cluster against its own
-    ``_certificate`` built with the oriented counter, a route other than
-    construction's pair-walk fold: radius at most 2, every field, and
-    the captured fraction.
+    Checks that clusters hold integer vertex ids in 0..n-1 (else the
+    ValueError text is the violation, with no certificate), are disjoint
+    and repeat no vertex, the total, one certificate per cluster, and
+    each cluster against its own ``_certificate`` built with the
+    oriented counter, a route other than construction's pair-walk fold:
+    radius at most 2, every field, and the captured fraction.
     """
     violations: list[str] = []
     seen: set[int] = set()
-    outside: set[int] = set()  # clusters that name a vertex not in g
+    inside: dict[int, np.ndarray] = {}  # the clusters whose ids are in g
     for idx, members in enumerate(family.clusters):
-        stray = sorted({v for v in members if not 0 <= v < g.n})
-        if stray:
-            outside.add(idx)
-            violations.append(f"cluster {idx} has vertices outside range({g.n}): {stray}")
+        try:
+            inside[idx] = _vertex_ids(members, g.n, f"cluster {idx}")
+        except ValueError as err:
+            violations.append(str(err))
         overlap = seen.intersection(members)
         if overlap:
             violations.append(f"cluster {idx} overlaps earlier ones: {sorted(overlap)}")
@@ -397,11 +393,8 @@ def verify_tightly_knit(g: Graph,
     if len(certs) != k:
         violations.append(f"{len(certs)} certificates for {k} clusters")
     captured = 0
-    for idx, members in enumerate(family.clusters):
-        if idx in outside:
-            continue
-        own = _certificate(g, np.array(members, dtype=np.int64),
-                           triangle_count_oriented)
+    for idx, members in inside.items():
+        own = _certificate(g, members, triangle_count_oriented)
         captured += own.triangle_count
         if own.radius > 2:
             violations.append(f"cluster {idx} has radius {own.radius} > 2")

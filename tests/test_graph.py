@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netclass import graph as graph_module
-from netclass.closure import c_closure_number, weak_closure_number
+from netclass.closure import c_closure_number, is_c_good, weak_closure_number
 from netclass.errors import ParseError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
                                  path_graph, petersen_graph, random_graph,
@@ -21,6 +21,7 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             connected_components, largest_component,
                             load_edge_list, sorted_unique, spans,
                             wedge_count)
+from netclass.metric import tau, two_sweep
 from netclass.triangles import clean
 
 from conftest import (adjacency_sets, brute_all_pairs_dist, brute_c_closure,
@@ -757,6 +758,47 @@ class TestInducedSubgraph:
             assert sub.indptr.tolist() == indptr
             assert sub.indices.tolist() == indices
             assert sub.labels.tolist() == labels
+
+
+class TestVertexIds:
+    """One rule at every entry point that takes vertex ids: an id is an
+    integer in 0..n-1, and anything else raises ValueError. A bool is
+    not an id, though Python and NumPy would read True as vertex 1."""
+
+    N = 4
+    # name -> (call, integer ids it runs with); a scalar entry point
+    # takes one id, an array entry point an array of them
+    ENTRY_POINTS = {
+        "bfs_levels": (lambda g, v: bfs_levels(g, v), 1),
+        "two_sweep": (lambda g, v: two_sweep(g, seed=v), 1),
+        "tau": (lambda g, v: tau(g, v, 1), 1),
+        "is_c_good": (lambda g, v: is_c_good(g, v, 1), 1),
+        "induced_subgraph": (lambda g, ids: g.induced_subgraph(ids),
+                             np.array([0, 1])),
+        "block_sources": (lambda g, ids: bfs_levels(g, ids), np.array([0, 1])),
+        "pair_targets": (lambda g, ids: bfs_levels(
+            g, np.array([0]), (np.zeros(ids.size, dtype=np.int64), ids)),
+            np.array([0, 1])),
+        "clean_seeds": (lambda g, ids: clean(g, 0.5, seeds=ids.reshape(1, 2)),
+                        np.array([0, 1])),
+    }
+    # the bad scalar, the bad array, and the message both give
+    BAD = {"bool": (True, np.array([False, True]), "integer dtype, not bool$"),
+           "float": (1.5, np.array([0.0, 1.0]),
+                     "integer dtype, not float64$"),
+           "n": (N, np.array([0, N]), r"vertices outside range\(4\): \[4\]$"),
+           "negative": (-1, np.array([0, -1]),
+                        r"vertices outside range\(4\): \[-1\]$")}
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_id_raises_value_error(self, entry, bad):
+        run, good = self.ENTRY_POINTS[entry]
+        scalar, array, message = self.BAD[bad]
+        g = path_graph(self.N)
+        run(g, good)  # the same call with integer ids runs
+        with pytest.raises(ValueError, match=message):
+            run(g, scalar if np.ndim(good) == 0 else array)
 
 
 class TestSpans:

@@ -134,8 +134,9 @@ class TestCleaner:
     def test_seeds_outside_the_graph_rejected(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 3)], n=4)
         # (0, 6) would encode as 0 * 4 + 6, the key of the edge (1, 2)
-        message = r"^seed \(.*\) is outside range\(4\)$"
-        for seeds in ([(0, 6)], [(1, 3), (-1, 2)], map(tuple, [[4, 0]])):
+        for seeds, stray in [([(0, 6)], r"\[6\]"), ([(1, 3), (-1, 2)], r"\[-1\]"),
+                             (map(tuple, [[4, 0]]), r"\[4\]")]:
+            message = rf"^seeds has vertices outside range\(4\): {stray}$"
             with pytest.raises(ValueError, match=message):
                 clean(g, 0.9, seeds=seeds)
         # in-range seeds from an iterator still run
@@ -481,10 +482,13 @@ class TestVerificationReports:
         (_vertex_outside(-1), ["cluster 1 has vertices outside "
                                "range(250): [-1]",
                                "captured fraction mismatch"]),
+        (_vertex_outside(1.5), ["cluster 1 must have an integer dtype, "
+                                "not float64",
+                                "captured fraction mismatch"]),
     ], ids=["total", "edge_count", "triangle_count", "rho_edge",
             "rho_tri_none", "captured", "vertices", "size", "radius",
             "missing_certificate", "repeated_vertex", "vertex_above_n",
-            "negative_vertex"])
+            "negative_vertex", "non_integer_vertex"])
     def test_mutation_gives_its_message(self, mutate, want):
         g, family = _dense_family()
         check = verify_tightly_knit(g, mutate(family))
