@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _pair_blocks, _vertex_ids, sorted_unique, spans,
+from .graph import (Graph, _pair_blocks, _vertex_id, sorted_unique, spans,
                     wedge_count)
 
 # pair indices are int32 slots
@@ -60,8 +60,8 @@ def c_closure_number(g: Graph) -> int:
 
 def is_c_good(g: Graph, v: int, c: int) -> bool:
     """True iff every non-neighbor u of v has |N(u) ∩ N(v)| <= c - 1;
-    ValueError unless v is an integer vertex id in 0..n-1."""
-    (v,) = _vertex_ids(np.reshape(v, 1), g.n, "v")
+    ValueError unless v is one vertex id in 0..n-1, not a list or array."""
+    v = _vertex_id(v, g.n, "v")
     if c < 1:
         raise ValueError("c must be a positive integer")
     nbrs = g.neighbors(v)

@@ -107,9 +107,9 @@ def random_connected_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
     return Graph.from_edges(edges, n=n)
 
 
-def power_law_degree_sequence(n: int, gamma: float, d_max: int | None = None,
-                              shift: float = 0.0) -> np.ndarray:
-    """Deterministic degree counts n(d) proportional to n / (d + shift)^gamma.
+def power_law_degree_sequence(n: int, gamma: float,
+                              d_max: int | None = None) -> np.ndarray:
+    """Deterministic degree counts n(d) proportional to n / d^gamma.
 
     Largest-remainder rounding keeps the total exactly n; the sequence
     sum is made even by bumping one degree-1 slot if needed.
@@ -121,7 +121,7 @@ def power_law_degree_sequence(n: int, gamma: float, d_max: int | None = None,
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     d = np.arange(1, d_max + 1, dtype=np.float64)
-    weights = (d + shift) ** -gamma
+    weights = d ** -gamma
     target = n * weights / weights.sum()
     counts = np.floor(target).astype(np.int64)
     remainder = n - counts.sum()

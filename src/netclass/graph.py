@@ -61,12 +61,21 @@ def _integer_array(values, what: str) -> np.ndarray:
 
 def _vertex_ids(values, n: int, what: str) -> np.ndarray:
     """``values`` as int64 ids in ``range(n)``, not copying an int64 array;
-    ValueError, naming the ids outside, for any other value."""
+    ValueError, naming the first ten ids outside, for any other value."""
     arr = _integer_array(values, what)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         stray = sorted_unique(arr[(arr < 0) | (arr >= n)]).tolist()
-        raise ValueError(f"{what} has vertices outside range({n}): {stray}")
+        more = f" and {len(stray) - 10} more" if len(stray) > 10 else ""
+        raise ValueError(f"{what} has vertices outside range({n}): "
+                         f"{stray[:10]}{more}")
     return arr
+
+
+def _vertex_id(value, n: int, what: str) -> int:
+    """``value`` as one id, checked as ``_vertex_ids`` checks ids."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{what} must be one vertex id, not a list or array")
+    return int(_vertex_ids(np.reshape(value, 1), n, what)[0])
 
 
 def _unique_in_place(out: np.ndarray) -> np.ndarray:
@@ -419,7 +428,7 @@ def bfs_levels(g: Graph, source: int | np.ndarray,
         return _bfs_block(g, np.asarray(source), pairs)
     if pairs is not None:
         raise ValueError("pairs are read only from a block of sources")
-    frontier = _vertex_ids(np.reshape(source, 1), g.n, "source")
+    frontier = np.array([_vertex_id(source, g.n, "source")])
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     unseen = np.ones(g.n, dtype=bool)
     sizes = []
@@ -465,7 +474,7 @@ def _bfs_block(g: Graph, sources: np.ndarray,
     starts = g.indptr[nonempty]
     sizes = []
     reached = np.flatnonzero(frontier)
-    while reached.size and len(sizes) < g.n:  # a BFS has at most n levels
+    while reached.size:
         # each bit is set in one level's frontier only, so a pair is hit once
         dist[(frontier[targets] >> shift & np.uint64(1)).astype(bool)] = \
             len(sizes)

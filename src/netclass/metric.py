@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConnectedError
-from .graph import (BFS_BLOCK, Graph, bfs_levels, connected_components,
-                    row_pointers)
+from .graph import (BFS_BLOCK, Graph, _vertex_id, bfs_levels,
+                    connected_components, row_pointers)
 
 INF = math.inf
 _NO_PAIRS = np.zeros(0, dtype=np.int64)
@@ -99,15 +99,15 @@ def eccentricities(g: Graph) -> MetricProfile:
     return MetricProfile(eccentricity=ecc, diameter=int(ecc.max()))
 
 
-def two_sweep(g: Graph, seed: int | None = None) -> TwoSweepResult:
+def two_sweep(g: Graph, seed: int = 0) -> TwoSweepResult:
     """BFS to the farthest vertex, then report that vertex's eccentricity.
 
     Always a lower bound on the diameter; ties in the farthest-vertex
-    choice go to the smallest index. ``seed`` (default 0) is an integer
-    vertex id in 0..n-1; any other value raises ValueError.
+    choice go to the smallest index. ``seed`` is one vertex id in 0..n-1;
+    any other value, even a list or array of one id, raises ValueError.
     """
     _require_vertices(g)
-    first = bfs_levels(g, 0 if seed is None else seed)
+    first = bfs_levels(g, _vertex_id(seed, g.n, "seed"))
     _require_spanned(g, first.level_sizes)
     turn = int(np.argmax(first.dist))
     second = bfs_levels(g, turn)
@@ -121,10 +121,12 @@ def tau(g: Graph, s: int, k: int) -> int | float:
 
     Infinity when no level ever reaches k. The source's own level 0 is
     excluded so k=1 measures the first step, not the trivial one. ``s``
-    is an integer vertex id in 0..n-1; any other value raises ValueError.
+    is one vertex id in 0..n-1; any other value, even a list or array of
+    one id, raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    s = _vertex_id(s, g.n, "s")
     first = _first_levels(bfs_levels(g, s).level_sizes[None], k)[0]
     return int(first) if first < INF else INF
 
@@ -141,7 +143,6 @@ class BctReport:
     a pass threshold.
     """
 
-    n: int
     k_star: int
     level_average: float            # T(k*), over sources with finite tau
     infinite_tau_sources: int
@@ -217,7 +218,7 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
                 break
             gamma += 1
 
-    return BctReport(n=n, k_star=k_star, level_average=level_average,
+    return BctReport(k_star=k_star, level_average=level_average,
                      infinite_tau_sources=int((~finite).sum()),
                      sampled_pairs=int(src.size),
                      skipped_pairs=int(src.size - usable.sum()),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeDistribution, Graph, wedge_count
+from .graph import DegreeDistribution, Graph
 
 
 @dataclass
@@ -47,10 +47,10 @@ class PlbFit:
 
 @dataclass
 class PlbCheck:
-    ok: bool
-    c: float
+    """Each dyadic bucket's mass over its budget at the checked c."""
+
+    ok: bool               # no slack exceeds 1
     slacks: list[float]
-    buckets: list[BucketCheck]
 
 
 def _buckets(dd: DegreeDistribution, gamma: float,
@@ -107,8 +107,7 @@ def is_plb(dd: DegreeDistribution, gamma: float, c: float,
         raise ValueError("constant c must be positive")
     buckets, _ = _buckets(dd, gamma, shift)
     slacks = [b.ratio / c for b in buckets]
-    return PlbCheck(ok=all(s <= 1.0 for s in slacks), c=c, slacks=slacks,
-                    buckets=buckets)
+    return PlbCheck(ok=all(s <= 1.0 for s in slacks), slacks=slacks)
 
 
 @dataclass
@@ -120,21 +119,16 @@ class GammaFit:
     objective: float
 
 
-def fit_gamma(dd: DegreeDistribution, gammas=None,
-              shift: float = 0.0) -> GammaFit:
-    """Pick gamma from a grid by minimizing c_plb penalized by how
-    unevenly the buckets sit below their budgets."""
-    if gammas is None:
-        gammas = np.arange(1.05, 5.0001, 0.05)
+def fit_gamma(dd: DegreeDistribution, shift: float = 0.0) -> GammaFit:
+    """Pick gamma from the grid 1.05, 1.10, ..., 5.00 by minimizing c_plb
+    penalized by how unevenly the buckets sit below their budgets."""
     best: GammaFit | None = None
-    for gamma in gammas:
+    for gamma in np.arange(1.05, 5.0001, 0.05):
         fit = plb_constant(dd, float(gamma), shift)
         slacks = np.array(fit.slacks())
         objective = fit.c_plb * (1.0 + float(np.std(slacks)))
         if best is None or objective < best.objective:
             best = GammaFit(fit=fit, objective=objective)
-    if best is None:
-        raise ValueError("gamma grid is empty")
     return best
 
 
@@ -153,10 +147,7 @@ class TailPoint:
 class PlbDiagnostics:
     """Measured quantities against the scalings a valid fit predicts."""
 
-    gamma: float
-    n: int
     tail: list[TailPoint]
-    wedges: int
     degeneracy: int
     degeneracy_ratio: float        # alpha / n^(1/gamma)
     d_max: int
@@ -173,8 +164,7 @@ def plb_diagnostics(g: Graph, fit: PlbFit) -> PlbDiagnostics:
     reference curve, so sweeps over n can check boundedness.
     """
     dd = g.degree_distribution()
-    check = is_plb(dd, fit.gamma, fit.c_plb, fit.shift)
-    if not check.ok:
+    if not is_plb(dd, fit.gamma, fit.c_plb, fit.shift).ok:
         raise ValueError("fit does not hold for this graph's degrees")
     gamma = fit.gamma
     n = g.n
@@ -188,7 +178,6 @@ def plb_diagnostics(g: Graph, fit: PlbFit) -> PlbDiagnostics:
         k *= 2
     # imported here, so that fitting alone never loads the clique module
     from .cliques import degeneracy_ordering, degree_orientation
-    w = wedge_count(g)
     alpha = degeneracy_ordering(g).degeneracy
     dplus = degree_orientation(g).out_degrees.astype(np.int64)
     sum_sq = int((dplus ** 2).sum())
@@ -197,8 +186,7 @@ def plb_diagnostics(g: Graph, fit: PlbFit) -> PlbDiagnostics:
     except OverflowError:  # the power passes float range near gamma = 1
         d_max_ratio = 0.0
     return PlbDiagnostics(
-        gamma=gamma, n=n, tail=tail, wedges=w,
-        degeneracy=alpha,
+        tail=tail, degeneracy=alpha,
         degeneracy_ratio=alpha / n ** (1.0 / gamma),
         d_max=d_max,
         d_max_ratio=d_max_ratio,

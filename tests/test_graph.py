@@ -800,6 +800,25 @@ class TestVertexIds:
         with pytest.raises(ValueError, match=message):
             run(g, scalar if np.ndim(good) == 0 else array)
 
+    @pytest.mark.parametrize("one_id", [[0], np.array([0])],
+                             ids=["list", "array"])
+    @pytest.mark.parametrize("entry", ["two_sweep", "tau", "is_c_good"])
+    def test_one_element_sequence_is_not_an_id(self, entry, one_id):
+        run, _ = self.ENTRY_POINTS[entry]
+        for g in (path_graph(5), complete_graph(1)):
+            with pytest.raises(ValueError, match="must be one vertex id, "
+                                                 "not a list or array$"):
+                run(g, one_id)
+
+    def test_stray_ids_named_up_to_ten(self):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(np.arange(20_000).reshape(-1, 2), n=10)
+        message = str(err.value)
+        assert message.startswith(
+            "edge endpoints has vertices outside range(10): [10, 11,")
+        assert message.endswith(", 19] and 19980 more")
+        assert len(message) < 200
+
 
 class TestSpans:
     def test_spans_in_order(self):

@@ -79,9 +79,9 @@ class TestPlbConstant:
     def test_non_finite_parameters_rejected(self, gamma, shift):
         with pytest.raises(ValueError, match="^gamma and shift must be finite$"):
             plb_constant(dd_from_counts([0, 4, 2]), gamma=gamma, shift=shift)
-        with pytest.raises(ValueError, match="finite"):
-            fit_gamma(dd_from_counts([0, 4, 2]), shift=shift,
-                      gammas=[gamma])
+        if math.isfinite(gamma):  # the fit's grid holds only finite gammas
+            with pytest.raises(ValueError, match="finite"):
+                fit_gamma(dd_from_counts([0, 4, 2]), shift=shift)
 
     @pytest.mark.parametrize("gamma, shift, bucket", [
         (1e308, 0.0, "[2, 4]"),       # 2^-gamma is 0
@@ -109,8 +109,6 @@ class TestPlbConstant:
         message = "power-law bound of degree bucket [1, 2] overflows"
         with pytest.raises(ValueError, match=re.escape(message)):
             plb_constant(dd, gamma=1022.0)
-        with pytest.raises(ValueError, match="overflows"):
-            fit_gamma(dd, gammas=[1022.0])
         fit = plb_constant(dd, gamma=1021.0)
         assert all(math.isfinite(fit.c_plb * dd.n * b.bound_sum)
                    for b in fit.buckets)
@@ -173,11 +171,6 @@ class TestFitGamma:
         chosen = fit_gamma(g.degree_distribution())
         assert 1.0 < chosen.fit.gamma <= 5.0
         assert chosen.fit.c_plb > 0
-
-    @pytest.mark.parametrize("gammas", [[], np.array([])])
-    def test_empty_grid_rejected(self, gammas):
-        with pytest.raises(ValueError, match="^gamma grid is empty$"):
-            fit_gamma(dd_from_counts([0, 4, 2]), gammas=gammas)
 
 
 class TestDiagnostics:
