@@ -18,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_CLIQUE_BUDGET, BudgetExceededError
-from .graph import Graph, row_pointers
-
-# clique members held as Python ints before one bulk int32 conversion
-EMIT_CHUNK = 1 << 12
+from .graph import Graph, _integer, row_pointers
 
 
 class CliqueSet:
@@ -147,11 +144,6 @@ def degree_orientation(g: Graph) -> OrientedGraph:
 # -- maximal clique enumeration -----------------------------------------
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-
-
 @contextmanager
 def _recursion_as_value_error():
     """A domain error, not a crash, when a clique of about a thousand
@@ -164,25 +156,19 @@ def _recursion_as_value_error():
 
 
 def _clique_store(g: Graph, budget: int, walk) -> CliqueSet:
-    """Run ``walk(g, emit)`` and keep each clique it emits, members in
-    any order, in one flat CliqueSet; the clique past the budget raises."""
-    _check_budget(budget)
-    # members reach the int32 buffer through a list, converted a chunk
-    # at a time: array.extend converts item by item, far slower
-    members, ends, pending = array("i"), array("q"), []
+    """Run ``walk(g, emit)`` and keep each clique it emits, a list of ids
+    in any order, in one flat CliqueSet; the clique past the budget raises."""
+    budget = _integer(budget, "budget", 0)
+    members, ends = array("i"), array("q")
 
-    def emit(clique) -> None:
-        pending.extend(clique)
-        ends.append(len(members) + len(pending))
+    def emit(clique: list[int]) -> None:
+        members.fromlist(clique)
+        ends.append(len(members))
         if len(ends) > budget:
             raise BudgetExceededError(budget, "maximal cliques")
-        if len(pending) >= EMIT_CHUNK:
-            members.extend(array("i", pending))
-            pending.clear()
 
     with _recursion_as_value_error():
         walk(g, emit)
-    members.extend(array("i", pending))
     return CliqueSet(members, ends)
 
 
@@ -201,7 +187,7 @@ def enumerate_maximal_cliques_backtracking(
 
 
 def _backtrack(g: Graph, emit) -> None:
-    """Call ``emit`` on each maximal clique, a frozenset, as found."""
+    """Call ``emit`` on each maximal clique, a list of ids, as found."""
     adj = g.adjacency_sets()
     found: set[frozenset[int]] = set()
     visited: set[tuple[int, frozenset[int]]] = set()
@@ -224,7 +210,7 @@ def _backtrack(g: Graph, emit) -> None:
             # keeping only those whose minimum is `start` dedups globally
             if min(clique) == start and clique not in found:
                 found.add(clique)
-                emit(clique)
+                emit(list(clique))
             return
         new_history = history | {v}
         for w in sorted(cand):
@@ -316,7 +302,7 @@ def enumerate_all_cliques(g: Graph,
     degeneracy order: it grows only into later neighbors, on the bitsets
     ``enumerate_maximal_cliques`` walks. The work is O(n * 2^degeneracy).
     """
-    _check_budget(budget)
+    budget = _integer(budget, "budget", 0)
     count = 0
 
     def grow(p: int) -> None:

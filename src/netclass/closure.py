@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _pair_blocks, _vertex_id, sorted_unique, spans,
-                    wedge_count)
+from .graph import (Graph, _integer, _pair_blocks, _vertex_id, sorted_unique,
+                    spans, wedge_count)
 
 # pair indices are int32 slots
 MAX_OPEN_PAIRS = int(np.iinfo(np.int32).max)
@@ -60,10 +60,10 @@ def c_closure_number(g: Graph) -> int:
 
 def is_c_good(g: Graph, v: int, c: int) -> bool:
     """True iff every non-neighbor u of v has |N(u) ∩ N(v)| <= c - 1;
-    ValueError unless v is one vertex id in 0..n-1, not a list or array."""
+    ValueError unless v is one vertex id in 0..n-1, not a list or array,
+    and c an integer of at least 1, not a bool or a float."""
     v = _vertex_id(v, g.n, "v")
-    if c < 1:
-        raise ValueError("c must be a positive integer")
+    c = _integer(c, "c", 1)
     nbrs = g.neighbors(v)
     counts = np.bincount(g.indices[spans(g.indptr[nbrs], g.degrees[nbrs])],
                          minlength=g.n)

@@ -78,6 +78,18 @@ def _vertex_id(value, n: int, what: str) -> int:
     return int(_vertex_ids(np.reshape(value, 1), n, what)[0])
 
 
+def _integer(value, what: str, least: int) -> int:
+    """``value``, a Python or NumPy integer, as an int of at least
+    ``least``; ValueError for a bool, a float, an array or a smaller one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, "
+                         f"not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{what} must be non-negative" if least == 0
+                         else f"{what} must be at least {least}")
+    return int(value)
+
+
 def _unique_in_place(out: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, which is sorted in place."""
     out.sort()

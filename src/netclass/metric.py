@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConnectedError
-from .graph import (BFS_BLOCK, Graph, _vertex_id, bfs_levels,
+from .graph import (BFS_BLOCK, Graph, _integer, _vertex_id, bfs_levels,
                     connected_components, row_pointers)
 
 INF = math.inf
@@ -122,10 +122,10 @@ def tau(g: Graph, s: int, k: int) -> int | float:
     Infinity when no level ever reaches k. The source's own level 0 is
     excluded so k=1 measures the first step, not the trivial one. ``s``
     is one vertex id in 0..n-1; any other value, even a list or array of
-    one id, raises ValueError.
+    one id, raises ValueError. So does a ``k`` that is not an integer of
+    at least 1, a bool or a float among them.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _integer(k, "k", 1)
     s = _vertex_id(s, g.n, "s")
     first = _first_levels(bfs_levels(g, s).level_sizes[None], k)[0]
     return int(first) if first < INF else INF
@@ -179,13 +179,13 @@ def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
     k* is ceil(sqrt(n)). Pair sampling uses the seeded generator
     recorded in the report; the pairs' distances come from the same
     all-sources BFS sweep that gives tau and the eccentricities.
+    ``sample_pairs`` and ``rng_seed`` are non-negative integers; any
+    other value, a bool or a float among them, raises ValueError.
     """
-    if sample_pairs < 0:
-        raise ValueError("sample_pairs must be non-negative")
+    sample_pairs = _integer(sample_pairs, "sample_pairs", 0)
     # checked here, not left to the generator, which is not built when
     # no pair is sampled, and the report echoes the seed either way
-    if rng_seed < 0:
-        raise ValueError("rng_seed must be non-negative")
+    rng_seed = _integer(rng_seed, "rng_seed", 0)
     _require_vertices(g)
     n = g.n
     k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly

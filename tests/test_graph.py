@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netclass import graph as graph_module
+from netclass.cliques import enumerate_all_cliques, enumerate_maximal_cliques
 from netclass.closure import c_closure_number, is_c_good, weak_closure_number
 from netclass.errors import ParseError
 from netclass.generators import (complete_graph, cycle_graph, disjoint_union,
@@ -21,7 +22,7 @@ from netclass.graph import (Graph, bfs_levels, closure_rate_curve,
                             connected_components, largest_component,
                             load_edge_list, sorted_unique, spans,
                             wedge_count)
-from netclass.metric import tau, two_sweep
+from netclass.metric import bct_properties_report, tau, two_sweep
 from netclass.triangles import clean
 
 from conftest import (adjacency_sets, brute_all_pairs_dist, brute_c_closure,
@@ -818,6 +819,44 @@ class TestVertexIds:
             "edge endpoints has vertices outside range(10): [10, 11,")
         assert message.endswith(", 19] and 19980 more")
         assert len(message) < 200
+
+
+class TestCountArguments:
+    """One rule for budgets, sample counts, seeds, c and k: a Python or
+    NumPy integer in range; a bool, a float or an array raises ValueError."""
+
+    # name -> (call on one count argument, its name, its least value)
+    ENTRY_POINTS = {
+        "maximal_budget": (lambda x: enumerate_maximal_cliques(
+            star_graph(5), budget=x), "budget", 0),
+        "all_budget": (lambda x: enumerate_all_cliques(
+            complete_graph(3), budget=x), "budget", 0),
+        "tau": (lambda x: tau(path_graph(5), 0, x), "k", 1),
+        "is_c_good": (lambda x: is_c_good(path_graph(3), 0, x), "c", 1),
+        "sample_pairs": (lambda x: bct_properties_report(
+            path_graph(5), sample_pairs=x), "sample_pairs", 0),
+        "rng_seed": (lambda x: bct_properties_report(
+            path_graph(5), rng_seed=x), "rng_seed", 0),
+    }
+
+    @pytest.mark.parametrize("bad, kind", [
+        (True, "bool"), (2.5, "float"), (1.0, "float"),
+        (np.float64(2.0), "float64"), (np.array(2), "ndarray")])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_integer_raises_value_error(self, entry, bad, kind):
+        run, what, _ = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be an integer, not {kind}$"):
+            run(bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_range_is_checked_and_numpy_integers_run(self, entry):
+        run, what, least = self.ENTRY_POINTS[entry]
+        below = "non-negative" if least == 0 else f"at least {least}"
+        with pytest.raises(ValueError, match=f"^{what} must be {below}$"):
+            run(least - 1)
+        # a NumPy integer runs as the int; a report echoes it as an int
+        assert repr(run(np.int32(10))) == repr(run(10))
 
 
 class TestSpans:

@@ -14,8 +14,7 @@ import tracemalloc
 import pytest
 
 from netclass import graph as graph_module
-from netclass.cliques import (EMIT_CHUNK, _bron_kerbosch,
-                              enumerate_maximal_cliques)
+from netclass.cliques import _bron_kerbosch, enumerate_maximal_cliques
 from netclass.closure import weak_closure_number
 from netclass.generators import moon_moser, random_connected_graph, random_graph
 from netclass.graph import closure_rate_curve, wedge_count
@@ -91,8 +90,8 @@ def test_clique_count_holds_4_bytes_a_member():
     count = traced_peak(lambda: len(enumerate_maximal_cliques(g)))
     cliques, members = 3 ** 9, 9 * 3 ** 9
     # int32 members and int64 ends, each with the array type's 1/16
-    # spare capacity, and one chunk of members still held as a list
-    assert count - walk <= 4.25 * members + 8.5 * cliques + 16 * EMIT_CHUNK
+    # spare capacity
+    assert count - walk <= 4.25 * members + 8.5 * cliques
 
 
 def test_sweep_holds_no_distance_matrix():
