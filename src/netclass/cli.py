@@ -15,7 +15,8 @@ importing this module loads no NumPy and no analysis module, so
 through ``netclass``'s lazy name map and are kept on this module;
 handlers look them up here when they run (``_cli.two_sweep``), so a
 wrapper set on this module is the one called. The library calls no
-plain ``np.unique(x)``, which imports ``numpy.ma`` on NumPy 2.4.
+plain ``np.unique(x)``, which imports ``numpy.ma`` on NumPy 2.4, and no
+subcommand imports ``numpy.random``: ``bct`` draws its pairs itself.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations, product
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from .graph import (BFS_BLOCK, Graph, _integer, _vertex_id, bfs_levels,
 
 INF = math.inf
 _NO_PAIRS = np.zeros(0, dtype=np.int64)
+# PCG64 (O'Neill's XSL-RR over a 128-bit LCG), as NumPy's default_rng
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_CHUNK_WORDS = 1 << 16  # the sampler's transients stay this size
 
 
 @dataclass
@@ -172,28 +177,97 @@ def _fit_tail(tail: list[tuple[int, float]]) -> TailFit:
     return TailFit(c=c, slope=float(slope), r_squared=r2)
 
 
+def _hash(value: int, k: int, const=0x43B0D7E5, mult=0x931E8875) -> int:
+    """SeedSequence's hash of ``value`` at call k: constant const*mult**k."""
+    const = const * pow(mult, k, 1 << 32) & _M32
+    value = (value ^ const) * (const * mult & _M32) & _M32
+    return value ^ value >> 16
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) as ``default_rng(seed)`` seeds them: a
+    4-word pool mixes the seed's 32-bit words, then yields 8 words."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    mixer = [*map(_hash, (words + [0] * 3)[:4], range(4)), *words[4:]]
+    pairs = [*permutations(range(4), 2),
+             *product(range(4, len(mixer)), range(4))]
+    for k, (i, j) in enumerate(pairs, 4):
+        mixed = 0xCA01F9DD * mixer[j] - 0x4973F715 * _hash(mixer[i], k) & _M32
+        mixer[j] = mixed ^ mixed >> 16
+    out = [_hash(mixer[k % 4], k, 0x8B51F9DD, 0x58F38DED) for k in range(8)]
+    word = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (word[2] << 64 | word[3]) << 1 & _M128 | 1
+    return ((inc + (word[0] << 64 | word[1])) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_halves(state: int, inc: int, size: int) -> tuple[np.ndarray, int]:
+    """The next ``size`` PCG64 outputs after ``state`` as 32-bit halves,
+    low half first, and the last state. States are (hi, lo) uint64 limbs;
+    each round jumps the ``done`` states made so far ``done`` steps on."""
+    hi, lo = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    hi[0], lo[0] = divmod((state * _PCG_MULT + inc) & _M128, 1 << 64)
+    mult, add, done = _PCG_MULT, inc, 1  # one jump: state * mult + add
+    while done < size:
+        k = min(done, size - done)
+        (mult_hi, y), (add_hi, add_lo) = (divmod(mult, 1 << 64),
+                                          divmod(add, 1 << 64))
+        x, new_lo = lo[:k], lo[done:done + k]
+        # the high word of x * y from four 32-bit partial products
+        x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
+        mid = (x0 * y0 >> 32) + (x0 * y1 & _M32) + (x1 * y0 & _M32)
+        carry = x1 * y1 + (x0 * y1 >> 32) + (x1 * y0 >> 32) + (mid >> 32)
+        np.add(x * y, add_lo, out=new_lo)
+        hi[done:done + k] = (carry + hi[:k] * y + x * mult_hi + add_hi
+                             + (new_lo < add_lo))
+        mult, add = mult * mult & _M128, (mult * add + add) & _M128
+        done += k
+    x, rot = hi ^ lo, hi >> 58  # XSL-RR: xor the halves, rotate right
+    words = (x >> rot | x << (64 - rot & 63)).astype("<u8", copy=False)
+    return words.view("<u4"), int(hi[-1]) << 64 | int(lo[-1])
+
+
+def _sample_pairs(n: int, count: int, seed: int):
+    """``default_rng(seed).integers(0, n, count)`` and then ``(0, n - 1,
+    count)``, bit for bit: PCG64's 32-bit halves through Lemire's rejection,
+    ``_CHUNK_WORDS`` words at a time. NumPy's path above 2**32 differs."""
+    if n > 1 << 32:
+        raise ValueError("pair sampling supports at most 2**32 vertices")
+    state, inc = _pcg64_seed(seed)
+    halves, draws = np.zeros(0, np.uint32), np.zeros((2, count), np.int64)
+    for bound, out in zip((n, n - 1), draws):
+        got = 0
+        while got < count:
+            if not halves.size:
+                halves, state = _pcg64_halves(
+                    state, inc, min(_CHUNK_WORDS, (count - got) // 2 + 1))
+            m = halves.astype(np.uint64) * bound
+            keep = np.flatnonzero(m & _M32 >= 2**32 % bound)[:count - got]
+            out[got:got + keep.size] = m[keep] >> 32
+            got += keep.size
+            halves = halves[keep[-1] + 1:] if got == count else halves[:0]
+    return draws[0], draws[1]
+
+
 def bct_properties_report(g: Graph, sample_pairs: int = 10_000,
                           rng_seed: int = 0) -> BctReport:
     """Measure the level-threshold properties on a connected graph.
 
-    k* is ceil(sqrt(n)). Pair sampling uses the seeded generator
-    recorded in the report; the pairs' distances come from the same
-    all-sources BFS sweep that gives tau and the eccentricities.
+    k* is ceil(sqrt(n)). Pairs are NumPy's ``default_rng(rng_seed)``
+    draws, made by ``_sample_pairs``; their distances come from the
+    all-sources BFS sweep that also gives tau and the eccentricities.
     ``sample_pairs`` and ``rng_seed`` are non-negative integers; any
     other value, a bool or a float among them, raises ValueError.
     """
     sample_pairs = _integer(sample_pairs, "sample_pairs", 0)
-    # checked here, not left to the generator, which is not built when
-    # no pair is sampled, and the report echoes the seed either way
+    # checked here, not left to the sampler, which does not run when no
+    # pair is sampled, and the report echoes the seed either way
     rng_seed = _integer(rng_seed, "rng_seed", 0)
     _require_vertices(g)
     n = g.n
     k_star = math.isqrt(n - 1) + 1  # ceil(sqrt(n)), exactly
     src = dst = _NO_PAIRS
     if sample_pairs > 0 and n >= 2:
-        rng = np.random.default_rng(rng_seed)
-        src = rng.integers(0, n, size=sample_pairs)
-        dst = rng.integers(0, n - 1, size=sample_pairs)
+        src, dst = _sample_pairs(n, sample_pairs, rng_seed)
         dst[dst >= src] += 1  # uniform over ordered pairs with s != t
     taus, eccs, dist = _sweep(g, k_star, src, dst)
 

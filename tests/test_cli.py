@@ -602,6 +602,7 @@ class TestStartUp:
             FRONT_END | {f"netclass.{m}" for m in modules}
         assert "numpy" in loaded
         assert "numpy.ma" not in loaded
+        assert "numpy.random" not in loaded
 
     def test_version_loads_no_numpy(self):
         code = ("import json, sys, netclass.cli\n"

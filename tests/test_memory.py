@@ -18,7 +18,8 @@ from netclass.cliques import _bron_kerbosch, enumerate_maximal_cliques
 from netclass.closure import weak_closure_number
 from netclass.generators import moon_moser, random_connected_graph, random_graph
 from netclass.graph import closure_rate_curve, wedge_count
-from netclass.metric import bct_properties_report, eccentricities
+from netclass.metric import (_CHUNK_WORDS, _sample_pairs,
+                             bct_properties_report, eccentricities)
 from netclass.triangles import triangle_count_naive
 
 # the streamed walk: per-edge arrays (heads, back, above, slot paths)
@@ -34,6 +35,9 @@ FIXED_BYTES = 64 * 1024
 SWEEP_VERTEX_BYTES = 8 * 24
 SWEEP_SLOT_BYTES = 8
 SWEEP_PAIR_BYTES = 8 * 8
+# pair sampling: one chunk's PCG64 states, words, halves and Lemire
+# products take about 112 bytes a word
+SAMPLER_WORD_BYTES = 128
 
 
 def traced_peak(fn) -> int:
@@ -96,7 +100,6 @@ def test_clique_count_holds_4_bytes_a_member():
 
 def test_sweep_holds_no_distance_matrix():
     g = random_connected_graph(5000, 2 / 5000, seed=1)
-    bct_properties_report(g, sample_pairs=1)  # numpy.random's first import
 
     def sweep_bytes(pairs):
         return (SWEEP_VERTEX_BYTES * g.n + SWEEP_SLOT_BYTES * 2 * g.m
@@ -105,3 +108,12 @@ def test_sweep_holds_no_distance_matrix():
     assert 8 * 64 * g.n > sweep_bytes(10_000)
     assert traced_peak(lambda: eccentricities(g)) <= sweep_bytes(0)
     assert traced_peak(lambda: bct_properties_report(g)) <= sweep_bytes(10_000)
+
+
+def test_pair_sampling_holds_one_chunk():
+    pairs = 1_000_000
+    # drawing every word at once would hold over 100 bytes a pair
+    assert 100 * pairs > SAMPLER_WORD_BYTES * _CHUNK_WORDS + FIXED_BYTES
+    # the two int64 outputs take 16 bytes a pair
+    assert traced_peak(lambda: _sample_pairs(900, pairs, 0)) <= (
+        16 * pairs + SAMPLER_WORD_BYTES * _CHUNK_WORDS + FIXED_BYTES)

@@ -206,6 +206,45 @@ class TestBctReport:
             bct_properties_report(complete_graph(5), sample_pairs=-5)
 
 
+def numpy_pairs(n: int, count: int, seed: int):
+    """The draws ``_sample_pairs`` reproduces, from NumPy's own generator."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, size=count), rng.integers(0, n - 1, size=count)
+
+
+class TestSamplePairs:
+    # n = 2 leaves the second draw a range of one; 3 * 2**30 rejects a
+    # quarter of its 32-bit draws; 2**32 is the largest n supported
+    SIZES = [2, 3, 900, 3 * 2**30, 2**32]
+
+    @pytest.mark.parametrize("seed", [*range(41), 2**32 - 1, 2**32,
+                                      2**64 + 3, 10**100])
+    def test_matches_default_rng(self, seed):
+        for n in self.SIZES:
+            for count in (0, 1, 3, 1000):
+                src, dst = metric_mod._sample_pairs(n, count, seed)
+                want_src, want_dst = numpy_pairs(n, count, seed)
+                assert src.dtype == dst.dtype == np.int64
+                assert np.array_equal(src, want_src)
+                assert np.array_equal(dst, want_dst)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", [0, 10**100])
+    def test_matches_default_rng_past_a_chunk(self, n, seed):
+        # one PCG64 word gives two 32-bit draws, so the first draw alone
+        # runs at least one word into the second chunk
+        count = 2 * metric_mod._CHUNK_WORDS + 2
+        src, dst = metric_mod._sample_pairs(n, count, seed)
+        want_src, want_dst = numpy_pairs(n, count, seed)
+        assert np.array_equal(src, want_src)
+        assert np.array_equal(dst, want_dst)
+
+    def test_more_than_2_to_the_32_vertices_refused(self):
+        # NumPy draws 64-bit words above this, which is not reproduced
+        with pytest.raises(ValueError, match=r"at most 2\*\*32 vertices"):
+            metric_mod._sample_pairs(2**32 + 1, 1, 0)
+
+
 def oracle_bct(g: Graph, sample_pairs: int, rng_seed: int) -> dict:
     """BCT report fields from all-pairs distances and the seeded sampler."""
     n = g.n
